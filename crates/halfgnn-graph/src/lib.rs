@@ -15,7 +15,6 @@ pub mod datasets;
 pub mod delta;
 pub mod features;
 pub mod gen;
-pub mod io;
 pub mod metrics;
 pub mod partition;
 pub mod reach;

@@ -28,7 +28,6 @@
 //! opt-in `provenance` feature, the first op site that produced an
 //! INF/NaN — the forensic trail behind the paper's Fig. 1c NaN collapse.
 
-pub mod bf16;
 pub mod f16;
 pub mod intrinsics;
 pub mod overflow;
@@ -37,7 +36,6 @@ pub mod slice;
 pub mod vec2;
 pub mod vec48;
 
-pub use bf16::Bf16;
 pub use f16::Half;
 pub use vec2::Half2;
 pub use vec48::{Half4, Half8};

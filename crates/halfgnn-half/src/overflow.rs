@@ -114,6 +114,18 @@ impl Summary {
     pub fn is_clean(&self) -> bool {
         self.first.is_none()
     }
+
+    /// Fold a later window into this one: counts add, and the earlier
+    /// window's first event (when it has one) stays the first.
+    pub fn absorb(&mut self, later: Summary) {
+        self.conversions += later.conversions;
+        self.overflows += later.overflows;
+        self.inf_propagated += later.inf_propagated;
+        self.nan_propagated += later.nan_propagated;
+        if self.first.is_none() {
+            self.first = later.first;
+        }
+    }
 }
 
 #[cfg(feature = "provenance")]
@@ -234,6 +246,47 @@ pub(crate) fn record(input: f32, out: Half) {
                 Some(OverflowEvent { site, conversion_index: s.conversions - 1, input, kind });
         }
     });
+}
+
+#[cfg(test)]
+mod absorb_tests {
+    use super::*;
+
+    fn event(site: &str) -> OverflowEvent {
+        OverflowEvent {
+            site: site.into(),
+            conversion_index: 3,
+            input: 7e4,
+            kind: NonfiniteKind::Overflow,
+        }
+    }
+
+    #[test]
+    fn absorb_adds_counts_and_keeps_the_earlier_first_event() {
+        let mut acc = Summary::default();
+        acc.absorb(Summary { conversions: 5, ..Summary::default() });
+        assert!(acc.is_clean(), "a clean window leaves the fold clean");
+        let first = Summary {
+            conversions: 10,
+            overflows: 1,
+            first: Some(event("a")),
+            ..Summary::default()
+        };
+        acc.absorb(first);
+        let later = Summary {
+            conversions: 4,
+            overflows: 2,
+            inf_propagated: 3,
+            nan_propagated: 4,
+            first: Some(event("b")),
+        };
+        acc.absorb(later);
+        assert_eq!(
+            (acc.conversions, acc.overflows, acc.inf_propagated, acc.nan_propagated),
+            (19, 3, 3, 4)
+        );
+        assert_eq!(acc.first.unwrap().site, "a");
+    }
 }
 
 #[cfg(all(test, feature = "provenance"))]

@@ -219,6 +219,17 @@ impl SatSummary {
     pub fn is_clean(&self) -> bool {
         self.first.is_none()
     }
+
+    /// Fold a later window into this one: counts add, and the earlier
+    /// window's first event (when it has one) stays the first.
+    pub fn absorb(&mut self, later: SatSummary) {
+        self.quantized += later.quantized;
+        self.saturated += later.saturated;
+        self.nonfinite_inputs += later.nonfinite_inputs;
+        if self.first.is_none() {
+            self.first = later.first;
+        }
+    }
 }
 
 thread_local! {
@@ -310,6 +321,28 @@ pub fn sr_mean_error_band(step: f64, n: usize, z: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn absorb_adds_counts_and_keeps_the_earlier_first_event() {
+        let ev = |index| SatEvent { site: 9, index, input: 1e3, nonfinite_input: false };
+        let mut acc = SatSummary::default();
+        acc.absorb(SatSummary { quantized: 64, ..SatSummary::default() });
+        assert!(acc.is_clean(), "a clean window leaves the fold clean");
+        acc.absorb(SatSummary {
+            quantized: 128,
+            saturated: 1,
+            nonfinite_inputs: 0,
+            first: Some(ev(5)),
+        });
+        acc.absorb(SatSummary {
+            quantized: 64,
+            saturated: 2,
+            nonfinite_inputs: 3,
+            first: Some(ev(6)),
+        });
+        assert_eq!((acc.quantized, acc.saturated, acc.nonfinite_inputs), (256, 3, 3));
+        assert_eq!(acc.first.unwrap().index, 5);
+    }
 
     #[test]
     fn block_exponent_is_minimal_and_sufficient() {

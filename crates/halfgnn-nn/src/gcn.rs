@@ -10,27 +10,37 @@
 //! *before* the reduction, so the backward pass is overflow-safe under any
 //! kernel, exactly as §3.1.3 observes for right norm.
 
+use crate::elem::Elem;
 use crate::graphdata::GraphView;
-use crate::models::{
-    gcn_agg_backward_f32, gcn_agg_backward_half, gcn_agg_f32, gcn_agg_half, grad_colsum_f32,
-    grad_colsum_half, grad_gemm_f32, grad_gemm_half, Dispatch, GcnNorm, PrecisionMode,
-};
+use crate::models::{Dispatch, GcnNorm};
 use crate::params::{TwoLayerGrads, TwoLayerParams};
+use halfgnn_half::overflow::site;
 use halfgnn_tensor::Ops;
+use std::borrow::Cow;
 
 /// Result of one training step.
 pub struct StepOutput<G> {
     /// Mean training loss.
     pub loss: f32,
-    /// Correct predictions on the training mask.
-    pub correct: usize,
     /// Parameter gradients (f32 master domain).
     pub grads: G,
     /// Full logits (f32), for evaluation.
     pub logits: Vec<f32>,
 }
 
-/// One full-batch f32 training step (the DGL-float baseline).
+/// One forward pass: the step's weight casts and the activations the
+/// backward pass reads, plus the logits.
+pub struct Forward<'a, T: Elem> {
+    w2: Cow<'a, [T]>,
+    /// Whatever fed layer 1's GeMM: `X` or `Â·X`.
+    lin_in: Cow<'a, [T]>,
+    a1: Vec<T>,
+    h1: Vec<T>,
+    /// Logits, row-major `n × classes`, in f32 (the loss is promoted).
+    pub logits: Vec<f32>,
+}
+
+/// Forward pass over `g` — what training steps and serving both run.
 ///
 /// Layer-1 order follows DGL's `GraphConv` dispatch: when
 /// `in_feats ≤ out_feats` it aggregates the (cheaper) raw features first,
@@ -38,195 +48,79 @@ pub struct StepOutput<G> {
 /// orders are mathematically identical; the dispatch matters because
 /// aggregate-first runs SpMM on the raw input features, which is where
 /// count-like datasets overflow FP16 (§3.1.3).
-pub fn step_f32(
+pub fn forward<'a, T: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<TwoLayerGrads> {
-    step_f32_norm(
-        ops,
-        g,
-        p,
-        x,
-        labels,
-        mask,
-        Dispatch::untuned(PrecisionMode::Float),
-        GcnNorm::Right,
-    )
-}
-
-/// [`step_f32`] with an explicit degree-norm placement (§3.1.3 ablations)
-/// and dispatch (the float path only consults its `dist` context).
-#[allow(clippy::too_many_arguments)]
-pub fn step_f32_norm(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
+    p: &'a TwoLayerParams,
+    x: &'a [T],
     d: Dispatch<'_>,
     norm: GcnNorm,
-) -> StepOutput<TwoLayerGrads> {
+) -> Forward<'a, T> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let aggregate_first = f_in <= h;
+    let w1 = T::weight(ops, &p.w1);
+    let b1 = T::weight(ops, &p.b1);
+    let w2 = T::weight(ops, &p.w2);
+    let b2 = T::weight(ops, &p.b2);
 
-    // ---- Forward.
-    // `lin_in` is whatever feeds layer 1's GeMM: X or Â·X.
-    let (lin_in, a1) = if aggregate_first {
-        let ax = gcn_agg_f32(ops, g, x, f_in, norm, d);
-        let z1 = ops.gemm_f32(&ax, false, &p.w1, false, n, f_in, h);
-        let a1 = ops.bias_add_f32(&z1, &p.b1);
-        (ax, a1)
+    let layer1 = site("gcn.layer1");
+    let (lin_in, a1) = if f_in <= h {
+        let ax = T::gcn_agg(ops, g, x, f_in, norm, d);
+        let z1 = T::gemm(ops, &ax, false, &w1, false, n, f_in, h);
+        let a1 = T::bias_add(ops, &z1, &b1);
+        (Cow::Owned(ax), a1)
     } else {
-        let z1 = ops.gemm_f32(x, false, &p.w1, false, n, f_in, h);
-        let z1 = ops.bias_add_f32(&z1, &p.b1);
-        let a1 = gcn_agg_f32(ops, g, &z1, h, norm, d);
-        (x.to_vec(), a1)
-    };
-    let h1 = ops.relu_f32(&a1);
-    let z2 = ops.gemm_f32(&h1, false, &p.w2, false, n, h, c);
-    let z2 = ops.bias_add_f32(&z2, &p.b2);
-    let logits = gcn_agg_f32(ops, g, &z2, c, norm, d);
-
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-
-    // ---- Backward.
-    let dz2 = gcn_agg_backward_f32(ops, g, &dlogits, c, norm, d);
-    let dw2 = grad_gemm_f32(ops, &h1, &dz2, h, n, c, d);
-    let db2 = grad_colsum_f32(ops, &dz2, c, d);
-    let dh1 = ops.gemm_f32(&dz2, false, &p.w2, true, n, c, h);
-    let da1 = ops.relu_grad_f32(&a1, &dh1);
-    let (dw1, db1) = if aggregate_first {
-        // a1 = agg(X)W + b: the SpMM is upstream of the GeMM, so δW = agg(X)ᵀ δa1.
-        let dw1 = grad_gemm_f32(ops, &lin_in, &da1, f_in, n, h, d);
-        let db1 = grad_colsum_f32(ops, &da1, h, d);
-        (dw1, db1)
-    } else {
-        let dz1 = gcn_agg_backward_f32(ops, g, &da1, h, norm, d);
-        let dw1 = grad_gemm_f32(ops, &lin_in, &dz1, f_in, n, h, d);
-        let db1 = grad_colsum_f32(ops, &dz1, h, d);
-        (dw1, db1)
-    };
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
-}
-
-/// One mixed-precision training step: half state tensors through the
-/// kernels the dispatch's mode selects, f32 master weights and loss.
-pub fn step_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[halfgnn_half::Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
-    step_half_norm(ops, g, p, x, labels, mask, d, GcnNorm::Right)
-}
-
-/// [`step_half`] with an explicit degree-norm placement.
-#[allow(clippy::too_many_arguments)]
-pub fn step_half_norm(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[halfgnn_half::Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-    norm: GcnNorm,
-) -> StepOutput<TwoLayerGrads> {
-    let n = g.n();
-    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-
-    // AMP: cast master weights to half for the step.
-    let w1h = ops.to_half(&p.w1);
-    let b1h = ops.to_half(&p.b1);
-    let w2h = ops.to_half(&p.w2);
-    let b2h = ops.to_half(&p.b2);
-
-    let aggregate_first = f_in <= h;
-
-    // ---- Forward (all state tensors half; DGL-style layer-1 dispatch).
-    let layer1 = halfgnn_half::overflow::site("gcn.layer1");
-    let (lin_in, a1) = if aggregate_first {
-        let ax = gcn_agg_half(ops, g, x, f_in, norm, d);
-        let z1 = ops.gemm_half(&ax, false, &w1h, false, n, f_in, h);
-        let a1 = ops.bias_add_half(&z1, &b1h);
-        (ax, a1)
-    } else {
-        let z1 = ops.gemm_half(x, false, &w1h, false, n, f_in, h);
-        let z1 = ops.bias_add_half(&z1, &b1h);
-        let a1 = gcn_agg_half(ops, g, &z1, h, norm, d);
-        (x.to_vec(), a1)
+        let z1 = T::gemm(ops, x, false, &w1, false, n, f_in, h);
+        let z1 = T::bias_add(ops, &z1, &b1);
+        (Cow::Borrowed(x), T::gcn_agg(ops, g, &z1, h, norm, d))
     };
     drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("gcn.layer2");
-    let h1 = ops.relu_half(&a1);
-    let z2 = ops.gemm_half(&h1, false, &w2h, false, n, h, c);
-    let z2 = ops.bias_add_half(&z2, &b2h);
-    let out = gcn_agg_half(ops, g, &z2, c, norm, d);
+    let layer2 = site("gcn.layer2");
+    let h1 = T::relu(ops, &a1);
+    let z2 = T::gemm(ops, &h1, false, &w2, false, n, h, c);
+    let z2 = T::bias_add(ops, &z2, &b2);
+    let out = T::gcn_agg(ops, g, &z2, c, norm, d);
     drop(layer2);
+    let logits = T::logits(ops, out);
+    Forward { w2, lin_in, a1, h1, logits }
+}
 
-    // AMP promotes the loss to float (charged conversion).
-    let logits = ops.to_f32(&out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    // Loss scaling (Micikevicius et al.): multiply the loss gradient so
-    // small per-vertex gradients survive the f2h cast; weight gradients
-    // are unscaled before the f32 master update.
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for g in dlogits.iter_mut() {
-            *g *= loss_scale;
-        }
-    }
+/// One training step: [`forward`], softmax cross-entropy on `mask`, and
+/// the backward pass in the state precision.
+#[allow(clippy::too_many_arguments)]
+pub fn step<T: Elem>(
+    ops: &mut Ops,
+    g: &GraphView,
+    p: &TwoLayerParams,
+    x: &[T],
+    labels: &[u32],
+    mask: &[bool],
+    d: Dispatch<'_>,
+    norm: GcnNorm,
+) -> StepOutput<TwoLayerGrads> {
+    let n = g.n();
+    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
+    let fwd = forward(ops, g, p, x, d, norm);
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&fwd.logits, labels, mask, c);
 
-    // ---- Backward in half.
-    let _bwd = halfgnn_half::overflow::site("gcn.backward");
-    let dout = ops.to_half(&dlogits);
-    let dz2 = gcn_agg_backward_half(ops, g, &dout, c, norm, d);
-    let dw2h = grad_gemm_half(ops, &h1, &dz2, h, n, c, d);
-    let db2 = grad_colsum_half(ops, &dz2, c, d);
-    let dh1 = ops.gemm_half(&dz2, false, &w2h, true, n, c, h);
-    let da1 = ops.relu_grad_half(&a1, &dh1);
-    let (dw1h, db1) = if aggregate_first {
-        let dw1h = grad_gemm_half(ops, &lin_in, &da1, f_in, n, h, d);
-        let db1 = grad_colsum_half(ops, &da1, h, d);
-        (dw1h, db1)
+    let _bwd = site("gcn.backward");
+    let dout = T::loss_grad(ops, dlogits);
+    let dz2 = T::gcn_agg_backward(ops, g, &dout, c, norm, d);
+    let dw2 = T::grad_gemm(ops, &fwd.h1, &dz2, h, n, c, d);
+    let db2 = T::grad_colsum(ops, &dz2, c, d);
+    let dh1 = T::gemm(ops, &dz2, false, &fwd.w2, true, n, c, h);
+    let da1 = T::relu_grad(ops, &fwd.a1, &dh1);
+    let (dw1, db1) = if f_in <= h {
+        // a1 = agg(X)W + b: the SpMM is upstream of the GeMM, so δW = agg(X)ᵀ δa1.
+        (T::grad_gemm(ops, &fwd.lin_in, &da1, f_in, n, h, d), T::grad_colsum(ops, &da1, h, d))
     } else {
-        let dz1 = gcn_agg_backward_half(ops, g, &da1, h, norm, d);
-        let dw1h = grad_gemm_half(ops, &lin_in, &dz1, f_in, n, h, d);
-        let db1 = grad_colsum_half(ops, &dz1, h, d);
-        (dw1h, db1)
+        let dz1 = T::gcn_agg_backward(ops, g, &da1, h, norm, d);
+        (T::grad_gemm(ops, &fwd.lin_in, &dz1, f_in, n, h, d), T::grad_colsum(ops, &dz1, h, d))
     };
 
-    // Weight gradients return to f32 for the master update, unscaled.
-    let mut dw1 = ops.to_f32(&dw1h);
-    let mut dw2 = ops.to_f32(&dw2h);
-    let mut db1 = db1;
-    let mut db2 = db2;
-    ops.unscale_grad(&mut dw1);
-    ops.unscale_grad(&mut dw2);
-    ops.unscale_grad(&mut db1);
-    ops.unscale_grad(&mut db2);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
+    let [w1, w2] = [dw1, dw2].map(|g| T::master_grad(ops, g));
+    let [w1, w2, b1, b2] = T::unscale(ops, [w1, w2, db1, db2]);
+    StepOutput { loss, grads: TwoLayerGrads { w1, b1, w2, b2 }, logits: fwd.logits }
 }
 
 #[cfg(test)]
@@ -235,7 +129,19 @@ mod tests {
     use crate::models::PrecisionMode;
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
+    use halfgnn_half::Half;
     use halfgnn_sim::DeviceConfig;
+
+    fn float_step(
+        ops: &mut Ops,
+        g: &GraphView,
+        p: &TwoLayerParams,
+        x: &[f32],
+        labels: &[u32],
+        mask: &[bool],
+    ) -> StepOutput<TwoLayerGrads> {
+        step(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float), GcnNorm::Right)
+    }
 
     fn toy() -> (GraphView, Vec<f32>, Vec<u32>, Vec<bool>) {
         let (edges, labels) = gen::sbm(&[20, 20], 0.4, 0.02, 3);
@@ -252,15 +158,15 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = TwoLayerParams::new(8, 6, 2, 1);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let out = float_step(&mut ops, &g, &p, &x, &labels, &mask);
         // Check a handful of weight coordinates by central differences.
         let eps = 1e-3;
         for &idx in &[0usize, 7, 13, 40] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -272,9 +178,9 @@ mod tests {
         for &idx in &[0usize, 5] {
             let orig = p.w2[idx];
             p.w2[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w2[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w2[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -296,13 +202,13 @@ mod tests {
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
         for norm in [GcnNorm::Right, GcnNorm::Left, GcnNorm::Both] {
             let mut ops = Ops::new(&dev);
-            let out = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm);
+            let out = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm);
             let idx = 5;
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, norm).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -369,7 +275,7 @@ mod tests {
         );
         assert!(y_right[0].is_infinite(), "right-norm forward overflows on the hub");
         // ... but the left-norm *adjoint* (sum then scale) overflows:
-        let d_left = crate::models::gcn_agg_backward_half(
+        let d_left = Half::gcn_agg_backward(
             &mut ops,
             &g,
             &x,
@@ -379,7 +285,7 @@ mod tests {
         );
         assert!(d_left[0].is_infinite(), "left-norm backward overflows (§3.1.3)");
         // ... and HalfGNN's discretized kernels are safe on both sides.
-        let d_ours = crate::models::gcn_agg_backward_half(
+        let d_ours = Half::gcn_agg_backward(
             &mut ops,
             &g,
             &x,
@@ -398,8 +304,17 @@ mod tests {
         let xh: Vec<halfgnn_half::Half> =
             x.iter().map(|&v| halfgnn_half::Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
-        let hstep = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let f = float_step(&mut ops, &g, &p, &x, &labels, &mask);
+        let hstep = step(
+            &mut ops,
+            &g,
+            &p,
+            &xh,
+            &labels,
+            &mask,
+            PrecisionMode::HalfGnn.into(),
+            GcnNorm::Right,
+        );
         assert!((f.loss - hstep.loss).abs() < 0.05, "{} vs {}", f.loss, hstep.loss);
         // Gradient direction agreement (cosine similarity) on W1.
         let dot: f32 = f.grads.w1.iter().zip(&hstep.grads.w1).map(|(a, b)| a * b).sum();

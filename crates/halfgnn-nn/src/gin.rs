@@ -13,15 +13,14 @@
 //!   (§5.2.2 "Additional Overflow in GIN"), on top of the discretized
 //!   (overflow-free) mean.
 
+use crate::elem::Elem;
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{
-    grad_colsum_f32, grad_colsum_half, grad_gemm_f32, grad_gemm_half, spmm_mean_f32,
-    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch, PrecisionMode,
-};
+use crate::models::{Dispatch, PrecisionMode};
 use crate::params::{TwoLayerGrads, TwoLayerParams};
-use halfgnn_half::Half;
+use halfgnn_half::overflow::site;
 use halfgnn_tensor::Ops;
+use std::borrow::Cow;
 
 /// The paper's λ (Eq. 4), validated as "worked fine for all our robust
 /// testing".
@@ -30,88 +29,68 @@ pub const GIN_LAMBDA: f32 = 0.1;
 /// ε in the GIN combine (fixed, non-learnable here).
 pub const GIN_EPS: f32 = 0.0;
 
-/// One f32 GIN step (DGL 'mean' reduction variant).
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<TwoLayerGrads> {
-    step_f32_dist(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
+/// One forward pass: the step's casts and saved activations, plus the
+/// logits.
+pub struct Forward<'a, T: Elem> {
+    one_eps: T,
+    agg_scale: T,
+    w2: Cow<'a, [T]>,
+    comb1: Vec<T>,
+    z1: Vec<T>,
+    comb2: Vec<T>,
+    /// Logits, row-major `n × classes`, in f32.
+    pub logits: Vec<f32>,
 }
 
-/// [`step_f32`] with an explicit dispatch (the sharded trainer threads a
-/// [`crate::dist::DistCtx`] through it).
-#[allow(clippy::too_many_arguments)]
-pub fn step_f32_dist(
+/// Forward pass. `HalfNaive` runs the overflowing DGL-mean variant;
+/// HalfGNN modes scale the aggregation by `lambda` (Eq. 4); float and
+/// I8 use λ = 1.
+pub fn forward<'a, T: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
+    p: &'a TwoLayerParams,
+    x: &[T],
     d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
+    lambda: f32,
+) -> Forward<'a, T> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let one_eps = 1.0 + GIN_EPS;
+    let one_eps = T::scalar(1.0 + GIN_EPS);
+    let protected = matches!(d.mode, PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize);
+    let agg_scale = if protected { T::scalar(lambda) } else { T::ONE };
 
-    // ---- Forward.
-    let agg1 = spmm_mean_f32(ops, g, x, f_in, d);
-    let comb1 = ops.scale_add_f32(one_eps, x, 1.0, &agg1);
-    let z1 = ops.gemm_f32(&comb1, false, &p.w1, false, n, f_in, h);
-    let z1 = ops.bias_add_f32(&z1, &p.b1);
-    let h1 = ops.relu_f32(&z1);
-    let agg2 = spmm_mean_f32(ops, g, &h1, h, d);
-    let comb2 = ops.scale_add_f32(one_eps, &h1, 1.0, &agg2);
-    let z2 = ops.gemm_f32(&comb2, false, &p.w2, false, n, h, c);
-    let logits = ops.bias_add_f32(&z2, &p.b2);
+    let w1 = T::weight(ops, &p.w1);
+    let b1 = T::weight(ops, &p.b1);
+    let w2 = T::weight(ops, &p.w2);
+    let b2 = T::weight(ops, &p.b2);
 
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-
-    // ---- Backward.
-    let dw2 = grad_gemm_f32(ops, &comb2, &dlogits, h, n, c, d);
-    let db2 = grad_colsum_f32(ops, &dlogits, c, d);
-    let dcomb2 = ops.gemm_f32(&dlogits, false, &p.w2, true, n, c, h);
-    // comb2 = (1+ε)h1 + mean(h1)  ⇒  δh1 = (1+ε)δcomb2 + Âᵀ(δcomb2/deg).
-    let scaled2 = ops.row_scale_f32(&dcomb2, &g.mean_scale_f, h);
-    let back2 = spmm_sum_f32(ops, g, &scaled2, h, d);
-    let dh1 = ops.scale_add_f32(one_eps, &dcomb2, 1.0, &back2);
-    let dz1 = ops.relu_grad_f32(&z1, &dh1);
-    let dw1 = grad_gemm_f32(ops, &comb1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_f32(ops, &dz1, h, d);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
+    // Both the naive and protected paths run DGL's 'mean' GIN; the naive
+    // kernel applies the degree norm post-reduction, so hub rows have
+    // already overflowed by the time it runs.
+    let layer1 = site("gin.layer1");
+    let agg1 = T::spmm_mean(ops, g, x, f_in, d);
+    let comb1 = T::scale_add(ops, one_eps, x, agg_scale, &agg1);
+    let z1 = T::gemm(ops, &comb1, false, &w1, false, n, f_in, h);
+    let z1 = T::bias_add(ops, &z1, &b1);
+    let h1 = T::relu(ops, &z1);
+    drop(layer1);
+    let layer2 = site("gin.layer2");
+    let agg2 = T::spmm_mean(ops, g, &h1, h, d);
+    let comb2 = T::scale_add(ops, one_eps, &h1, agg_scale, &agg2);
+    let z2 = T::gemm(ops, &comb2, false, &w2, false, n, h, c);
+    let out = T::bias_add(ops, &z2, &b2);
+    drop(layer2);
+    let logits = T::logits(ops, out);
+    Forward { one_eps, agg_scale, w2, comb1, z1, comb2, logits }
 }
 
-/// One mixed-precision GIN step with the paper's λ. `HalfNaive` runs the
-/// overflowing DGL-mean variant; HalfGNN modes use Eq. 4.
-pub fn step_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
-    step_half_lambda(ops, g, p, x, labels, mask, d, GIN_LAMBDA)
-}
-
-/// [`step_half`] with an explicit λ (the §5.2.2 ablation sweeps it).
+/// One training step: [`forward`], loss, backward.
 #[allow(clippy::too_many_arguments)]
-pub fn step_half_lambda(
+pub fn step<T: Elem>(
     ops: &mut Ops,
     g: &GraphView,
     p: &TwoLayerParams,
-    x: &[Half],
+    x: &[T],
     labels: &[u32],
     mask: &[bool],
     d: Dispatch<'_>,
@@ -119,78 +98,25 @@ pub fn step_half_lambda(
 ) -> StepOutput<TwoLayerGrads> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let one_eps = Half::from_f32(1.0 + GIN_EPS);
-    let protected = matches!(d.mode, PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize);
-    let agg_scale = if protected { Half::from_f32(lambda) } else { Half::ONE };
+    let fwd = forward(ops, g, p, x, d, lambda);
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&fwd.logits, labels, mask, c);
 
-    let w1h = ops.to_half(&p.w1);
-    let b1h = ops.to_half(&p.b1);
-    let w2h = ops.to_half(&p.w2);
-    let b2h = ops.to_half(&p.b2);
+    let _bwd = site("gin.backward");
+    let dout = T::loss_grad(ops, dlogits);
+    let dw2 = T::grad_gemm(ops, &fwd.comb2, &dout, h, n, c, d);
+    let db2 = T::grad_colsum(ops, &dout, c, d);
+    let dcomb2 = T::gemm(ops, &dout, false, &fwd.w2, true, n, c, h);
+    // comb2 = (1+ε)h1 + s·mean(h1)  ⇒  δh1 = (1+ε)δcomb2 + s·Âᵀ(δcomb2/deg).
+    let scaled2 = T::row_scale(ops, &dcomb2, T::mean_scale(g), h);
+    let back2 = T::spmm_sum(ops, g, &scaled2, h, d);
+    let dh1 = T::scale_add(ops, fwd.one_eps, &dcomb2, fwd.agg_scale, &back2);
+    let dz1 = T::relu_grad(ops, &fwd.z1, &dh1);
+    let dw1 = T::grad_gemm(ops, &fwd.comb1, &dz1, f_in, n, h, d);
+    let db1 = T::grad_colsum(ops, &dz1, h, d);
 
-    // Both the naive and protected paths run DGL's 'mean' GIN; the naive
-    // kernel applies the degree norm post-reduction, so hub rows have
-    // already overflowed by the time it runs.
-    let aggregate =
-        |ops: &mut Ops, g: &GraphView, t: &[Half], f: usize| spmm_mean_half(ops, g, t, f, d);
-
-    // ---- Forward.
-    let layer1 = halfgnn_half::overflow::site("gin.layer1");
-    let agg1 = aggregate(ops, g, x, f_in);
-    let comb1 = ops.scale_add_half(one_eps, x, agg_scale, &agg1);
-    let z1 = ops.gemm_half(&comb1, false, &w1h, false, n, f_in, h);
-    let z1 = ops.bias_add_half(&z1, &b1h);
-    let h1 = ops.relu_half(&z1);
-    drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("gin.layer2");
-    let agg2 = aggregate(ops, g, &h1, h);
-    let comb2 = ops.scale_add_half(one_eps, &h1, agg_scale, &agg2);
-    let z2 = ops.gemm_half(&comb2, false, &w2h, false, n, h, c);
-    let out = ops.bias_add_half(&z2, &b2h);
-    drop(layer2);
-
-    let logits = ops.to_f32(&out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    // Loss scaling (Micikevicius et al.): multiply the loss gradient so
-    // small per-vertex gradients survive the f2h cast; weight gradients
-    // are unscaled before the f32 master update.
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for g in dlogits.iter_mut() {
-            *g *= loss_scale;
-        }
-    }
-
-    // ---- Backward.
-    let _bwd = halfgnn_half::overflow::site("gin.backward");
-    let dout = ops.to_half(&dlogits);
-    let dw2h = grad_gemm_half(ops, &comb2, &dout, h, n, c, d);
-    let db2 = grad_colsum_half(ops, &dout, c, d);
-    let dcomb2 = ops.gemm_half(&dout, false, &w2h, true, n, c, h);
-    // Adjoint of the aggregation: mean's adjoint is row-scale-then-sum;
-    // sum's adjoint is a plain sum.
-    let scaled2 = ops.row_scale_half(&dcomb2, &g.mean_scale_h, h);
-    let back2 = spmm_sum_half(ops, g, &scaled2, h, d);
-    let dh1 = ops.scale_add_half(one_eps, &dcomb2, agg_scale, &back2);
-    let dz1 = ops.relu_grad_half(&z1, &dh1);
-    let dw1h = grad_gemm_half(ops, &comb1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_half(ops, &dz1, h, d);
-
-    let mut dw1 = ops.to_f32(&dw1h);
-    let mut dw2 = ops.to_f32(&dw2h);
-    let mut db1 = db1;
-    let mut db2 = db2;
-    ops.unscale_grad(&mut dw1);
-    ops.unscale_grad(&mut dw2);
-    ops.unscale_grad(&mut db1);
-    ops.unscale_grad(&mut db2);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
+    let [w1, w2] = [dw1, dw2].map(|g| T::master_grad(ops, g));
+    let [w1, w2, b1, b2] = T::unscale(ops, [w1, w2, db1, db2]);
+    StepOutput { loss, grads: TwoLayerGrads { w1, b1, w2, b2 }, logits: fwd.logits }
 }
 
 #[cfg(test)]
@@ -198,7 +124,19 @@ mod tests {
     use super::*;
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
+    use halfgnn_half::Half;
     use halfgnn_sim::DeviceConfig;
+
+    fn float_step(
+        ops: &mut Ops,
+        g: &GraphView,
+        p: &TwoLayerParams,
+        x: &[f32],
+        labels: &[u32],
+        mask: &[bool],
+    ) -> StepOutput<TwoLayerGrads> {
+        step(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float), GIN_LAMBDA)
+    }
 
     fn toy() -> (GraphView, Vec<f32>, Vec<u32>, Vec<bool>) {
         let (edges, labels) = gen::sbm(&[20, 20], 0.4, 0.02, 9);
@@ -214,14 +152,14 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = TwoLayerParams::new(8, 6, 2, 2);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let out = float_step(&mut ops, &g, &p, &x, &labels, &mask);
         let eps = 1e-3;
         for &idx in &[0usize, 11, 30] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -234,9 +172,9 @@ mod tests {
             let orig = p.b1[idx % p.b1.len()];
             let j = idx % p.b1.len();
             p.b1[j] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.b1[j] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             p.b1[j] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             // Relative slack absorbs ReLU-kink noise in the central
@@ -266,11 +204,20 @@ mod tests {
         let p = TwoLayerParams::new(4, 6, 2, 3);
 
         let mut ops = Ops::new(&dev);
-        let naive =
-            step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfNaive.into());
+        let naive = step(
+            &mut ops,
+            &g,
+            &p,
+            &xh,
+            &labels,
+            &mask,
+            PrecisionMode::HalfNaive.into(),
+            GIN_LAMBDA,
+        );
         assert!(naive.loss.is_nan(), "naive GIN should NaN, got {}", naive.loss);
 
-        let ours = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let ours =
+            step(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into(), GIN_LAMBDA);
         assert!(ours.loss.is_finite(), "HalfGNN GIN must stay finite, got {}", ours.loss);
     }
 }

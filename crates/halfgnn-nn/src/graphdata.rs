@@ -1,14 +1,18 @@
-//! Precomputed per-graph training state: both storage formats, degree-norm
-//! tables in both precisions, and the transpose permutation backward
-//! passes use to reindex edge tensors.
+//! The graph a model step runs on — the full training graph or one
+//! sampled batch subgraph — with its precomputed training state: both
+//! storage formats, degree-norm tables in both precisions, and the
+//! transpose permutation backward passes use to reindex edge tensors.
 
-use halfgnn_graph::{BatchSubgraph, Coo, Csr, VertexId};
+use halfgnn_graph::{BatchSubgraph, Coo, Csr};
 use halfgnn_half::Half;
 use halfgnn_kernels::common::{row_scales_inv_sqrt, row_scales_mean};
-use std::ops::Deref;
 
 /// Everything the model steps need about the graph, computed once.
-pub struct PreparedGraph {
+///
+/// Models, `Dispatch`, and the trainer take `&GraphView`, so the same
+/// steps serve full-batch training, sampled mini-batches and serving's
+/// coalesced subgraphs.
+pub struct GraphView {
     /// Canonical COO of Â (symmetrized, self-looped).
     pub coo: Coo,
     /// CSR of Â.
@@ -27,10 +31,11 @@ pub struct PreparedGraph {
     pub t_perm: Vec<usize>,
 }
 
-impl PreparedGraph {
-    /// Build from a symmetric adjacency (panics otherwise: GNN training
-    /// assumes Â = Âᵀ so backward kernels can reuse the same structure).
-    pub fn new(csr: &Csr) -> PreparedGraph {
+impl GraphView {
+    /// View of a full graph, which must already be symmetric Â (panics
+    /// otherwise: GNN training assumes Â = Âᵀ so backward kernels can
+    /// reuse the same structure).
+    pub fn full(csr: &Csr) -> GraphView {
         assert!(csr.is_symmetric(), "training graphs must be symmetrized");
         let coo = csr.to_coo();
         let degrees = csr.degrees();
@@ -41,7 +46,7 @@ impl PreparedGraph {
         let inv_sqrt_scale_f: Vec<f32> =
             degrees.iter().map(|&d| if d == 0 { 0.0 } else { 1.0 / (d as f32).sqrt() }).collect();
         let t_perm = coo.transpose_permutation();
-        PreparedGraph {
+        GraphView {
             coo,
             csr: csr.clone(),
             degrees,
@@ -51,6 +56,14 @@ impl PreparedGraph {
             inv_sqrt_scale_f,
             t_perm,
         }
+    }
+
+    /// View of one sampled batch. The raw sampled CSR has fanout-bounded
+    /// in-rows but is *not* symmetric; the steps assume Â = Âᵀ (shared
+    /// forward/backward structure), so the batch adjacency is
+    /// Â_B = sym(sample) + I over the batch's local vertex set.
+    pub fn batch(sub: &BatchSubgraph) -> GraphView {
+        GraphView::full(&sub.csr.symmetrized_with_self_loops())
     }
 
     /// Number of vertices.
@@ -69,85 +82,6 @@ impl PreparedGraph {
     }
 }
 
-/// Where a [`GraphView`] came from: the workspace-wide graph, or one
-/// sampled batch subgraph.
-#[derive(Clone, Debug)]
-pub enum ViewOrigin {
-    /// The full training graph (the paper's full-batch setting).
-    Full,
-    /// A neighbor-sampled batch subgraph in local ids.
-    Batch(BatchMeta),
-}
-
-/// Provenance of a batch subgraph: the id map back to the global graph
-/// plus the `(epoch, batch)` coordinates overflow events report.
-#[derive(Clone, Debug)]
-pub struct BatchMeta {
-    /// Local → global vertex map (seeds first).
-    pub global_ids: Vec<VertexId>,
-    /// Rows `0..n_seeds` are the batch's loss-bearing seed vertices.
-    pub n_seeds: usize,
-    /// Epoch the batch was sampled in.
-    pub epoch: usize,
-    /// Batch index within the epoch's schedule.
-    pub batch: usize,
-}
-
-/// The graph a model step runs on: a [`PreparedGraph`] plus its origin.
-///
-/// Models, `Dispatch`, and the trainer take `&GraphView` instead of the
-/// workspace-wide CSR, so the same step functions serve full-batch
-/// training and sampled mini-batches. `Deref` to [`PreparedGraph`] keeps
-/// kernel call sites (`g.csr`, `g.n()`, `g.mean_scale_h`) unchanged.
-pub struct GraphView {
-    prepared: PreparedGraph,
-    origin: ViewOrigin,
-}
-
-impl Deref for GraphView {
-    type Target = PreparedGraph;
-    fn deref(&self) -> &PreparedGraph {
-        &self.prepared
-    }
-}
-
-impl GraphView {
-    /// View of the full training graph (must already be symmetric Â).
-    pub fn full(csr: &Csr) -> GraphView {
-        GraphView { prepared: PreparedGraph::new(csr), origin: ViewOrigin::Full }
-    }
-
-    /// View of one sampled batch. The raw sampled CSR has fanout-bounded
-    /// in-rows but is *not* symmetric; the step functions assume Â = Âᵀ
-    /// (shared forward/backward structure), so the batch adjacency is
-    /// Â_B = sym(sample) + I over the batch's local vertex set.
-    pub fn batch(sub: &BatchSubgraph, epoch: usize, batch: usize) -> GraphView {
-        let adj = sub.csr.symmetrized_with_self_loops();
-        GraphView {
-            prepared: PreparedGraph::new(&adj),
-            origin: ViewOrigin::Batch(BatchMeta {
-                global_ids: sub.global_ids.clone(),
-                n_seeds: sub.n_seeds,
-                epoch,
-                batch,
-            }),
-        }
-    }
-
-    /// True when this view is a sampled batch subgraph.
-    pub fn is_batch(&self) -> bool {
-        matches!(self.origin, ViewOrigin::Batch(_))
-    }
-
-    /// Batch provenance, when this is a batch view.
-    pub fn meta(&self) -> Option<&BatchMeta> {
-        match &self.origin {
-            ViewOrigin::Full => None,
-            ViewOrigin::Batch(m) => Some(m),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +89,7 @@ mod tests {
     #[test]
     fn prepared_graph_tables() {
         let csr = Csr::from_edges(4, 4, &[(0, 1), (1, 2)]).symmetrized_with_self_loops();
-        let g = PreparedGraph::new(&csr);
+        let g = GraphView::full(&csr);
         assert_eq!(g.n(), 4);
         assert_eq!(g.degrees.len(), 4);
         for (v, &d) in g.degrees.iter().enumerate() {
@@ -169,7 +103,7 @@ mod tests {
     fn transpose_permutation_is_identity_on_symmetric_values() {
         // For a symmetric graph, permuting twice returns the original.
         let csr = Csr::from_edges(5, 5, &[(0, 1), (2, 3), (1, 4)]).symmetrized_with_self_loops();
-        let g = PreparedGraph::new(&csr);
+        let g = GraphView::full(&csr);
         let vals: Vec<usize> = (0..g.nnz()).collect();
         let once = g.permute_to_transpose(&vals);
         let twice = g.permute_to_transpose(&once);
@@ -180,35 +114,21 @@ mod tests {
     #[should_panic(expected = "symmetrized")]
     fn asymmetric_graph_rejected() {
         let csr = Csr::from_edges(3, 3, &[(0, 1)]);
-        PreparedGraph::new(&csr);
+        GraphView::full(&csr);
     }
 
     #[test]
-    fn full_view_derefs_to_prepared_graph() {
-        let csr = Csr::from_edges(4, 4, &[(0, 1), (1, 2)]).symmetrized_with_self_loops();
-        let v = GraphView::full(&csr);
-        assert!(!v.is_batch());
-        assert!(v.meta().is_none());
-        assert_eq!(v.n(), 4);
-        assert_eq!(v.csr, csr);
-    }
-
-    #[test]
-    fn batch_view_symmetrizes_the_sampled_csr_and_keeps_provenance() {
+    fn batch_view_symmetrizes_the_sampled_csr() {
         // A raw sampled subgraph is directed (fanout-bounded rows).
         let sub = BatchSubgraph {
             csr: Csr::from_edges(3, 3, &[(0, 1), (0, 2), (1, 2)]),
             global_ids: vec![7, 3, 9],
             n_seeds: 2,
         };
-        let v = GraphView::batch(&sub, 4, 1);
-        assert!(v.is_batch());
+        let v = GraphView::batch(&sub);
         assert!(v.csr.is_symmetric(), "batch adjacency must be symmetric");
         for u in 0..3u32 {
             assert!(v.csr.row(u).contains(&u), "missing self loop at {u}");
         }
-        let m = v.meta().unwrap();
-        assert_eq!(m.global_ids, vec![7, 3, 9]);
-        assert_eq!((m.n_seeds, m.epoch, m.batch), (2, 4, 1));
     }
 }

@@ -1,11 +1,13 @@
-//! GNN models (GCN, GAT, GIN) with hand-written forward/backward passes
-//! over the sparse kernels, and the mixed-precision trainer.
+//! GNN models (GCN, GAT, GIN, SAGE) with hand-written forward/backward
+//! passes over the sparse kernels, and the mixed-precision trainer.
 //!
 //! The paper's training recipe follows Micikevicius et al.: *state
 //! tensors* (activations, edge tensors) live in half precision; *weight
 //! updates* stay in float. Each step casts the f32 master weights to half,
 //! runs forward/backward through the precision-appropriate kernels, and
-//! feeds f32 gradients to Adam. Which kernels run is decided by
+//! feeds f32 gradients to Adam. Each model is written once, generic over
+//! the state-tensor element type ([`elem::Elem`], `f32` or `Half`), which
+//! owns that AMP boundary. Which kernels run is decided by
 //! [`trainer::PrecisionMode`]:
 //!
 //! | mode | SpMM | SDDMM | exp | meaning |
@@ -17,7 +19,7 @@
 
 pub mod adam;
 pub mod dist;
-pub mod forward;
+pub mod elem;
 pub mod gat;
 pub mod gcn;
 pub mod gin;

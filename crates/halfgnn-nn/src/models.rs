@@ -15,14 +15,14 @@
 //! halos, so they contribute zero additional communication.
 
 use crate::dist::DistCtx;
+use crate::elem::Elem;
 use crate::graphdata::GraphView;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_graph::partition::Shard;
 use halfgnn_half::Half;
-use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
-use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
-use halfgnn_kernels::fused::{self, FusedAttnForward};
-use halfgnn_kernels::{baseline::dgl_sddmm, baseline::ge_spmm, edge_ops, halfgnn_sddmm};
+use halfgnn_kernels::baseline::cusparse;
+use halfgnn_kernels::common::{EdgeWeights, ScalePlacement, Tiling, WriteStrategy};
+use halfgnn_kernels::{baseline::dgl_sddmm, halfgnn_sddmm};
 use halfgnn_kernels::{halfgnn_spmm, quant_spmm};
 use halfgnn_sim::KernelStats;
 use halfgnn_tensor::Ops;
@@ -144,15 +144,7 @@ impl Dispatch<'static> {
 impl<'t> Dispatch<'t> {
     /// Dispatch through a tuner (`tuning: Auto` / `Cached`).
     pub fn tuned(mode: PrecisionMode, tuner: &'t Tuner) -> Dispatch<'t> {
-        Dispatch {
-            mode,
-            tuner: Some(tuner),
-            fusion: false,
-            dist: None,
-            exec: None,
-            force_spmm: None,
-            quant_seed: 0,
-        }
+        Dispatch { tuner: Some(tuner), ..Dispatch::untuned(mode) }
     }
 
     /// Explicitly force (or forbid forcing) the fused attention pipeline.
@@ -189,7 +181,7 @@ impl<'t> Dispatch<'t> {
 
     /// Capture hook: record a sparse-kernel launch into the execution
     /// graph (no-op without a context or after it is sealed).
-    fn capture_node(
+    pub(crate) fn capture_node(
         &self,
         op: &'static str,
         inputs: &[BufRef],
@@ -238,15 +230,7 @@ impl<'t> Dispatch<'t> {
 
 impl<'t> From<PrecisionMode> for Dispatch<'t> {
     fn from(mode: PrecisionMode) -> Dispatch<'t> {
-        Dispatch {
-            mode,
-            tuner: None,
-            fusion: false,
-            dist: None,
-            exec: None,
-            force_spmm: None,
-            quant_seed: 0,
-        }
+        Dispatch::untuned(mode)
     }
 }
 
@@ -264,44 +248,69 @@ pub enum GcnNorm {
     Both,
 }
 
-// ---------------------------------------------------------------------
-// Sharded paste loops. Row-parallel kernels produce global-sized outputs
-// that are bitwise slices of the full launch inside the shard's row
-// window; edge-level kernels likewise inside the shard's edge window
-// (shards own contiguous row ranges, so their edge ranges are exactly the
-// CSR slices of those rows). Pasting every shard's window therefore
-// reassembles the single-device output exactly.
-// ---------------------------------------------------------------------
-
-fn sharded_rows<T: Copy>(
-    ops: &mut Ops,
-    ctx: &DistCtx,
-    n: usize,
-    f: usize,
-    zero: T,
-    mut run: impl FnMut(&mut Ops, &Shard) -> Vec<T>,
-) -> Vec<T> {
-    let mut out = vec![zero; n * f];
-    for shard in &ctx.plan.shards {
-        let y = run(ops, shard);
-        let (r0, r1) = shard.row_range;
-        out[r0 * f..r1 * f].copy_from_slice(&y[r0 * f..r1 * f]);
-    }
-    out
+/// Index span of a sparse kernel's launch window or output paste.
+#[derive(Clone, Copy)]
+pub(crate) enum Span {
+    /// Vertex rows, `f` output values each.
+    Rows(usize),
+    /// Edges, one output value each.
+    Edges,
 }
 
-fn sharded_edges<T: Copy>(
+impl Span {
+    fn of(self, shard: &Shard) -> (usize, usize) {
+        match self {
+            Span::Rows(_) => shard.row_range,
+            Span::Edges => shard.edge_range,
+        }
+    }
+}
+
+/// One sparse-kernel launch through the dispatch layer, logged into `ops`
+/// and recorded for capture. On one device `run` covers the full
+/// `window` span. With a [`DistCtx`] attached, each shard runs `halo`
+/// (the metered exchange of its remote operand rows), then `run` over its
+/// own window, and its `paste` span of the output is copied into the
+/// global tensor. Windowed launches are bitwise slices of the full launch
+/// (shards own contiguous row ranges, so their edge ranges are exactly
+/// the CSR slices of those rows), so the pasted tensor is the
+/// single-device output exactly.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn launch<T: Copy>(
     ops: &mut Ops,
-    ctx: &DistCtx,
-    nnz: usize,
+    g: &GraphView,
+    d: Dispatch<'_>,
+    op: &'static str,
+    ins: &[BufRef],
+    (window, paste): (Span, Span),
     zero: T,
-    mut run: impl FnMut(&mut Ops, &Shard) -> Vec<T>,
+    mut halo: impl FnMut(&mut Ops, &DistCtx, &Shard),
+    mut run: impl FnMut(&mut Ops, (usize, usize)) -> (Vec<T>, KernelStats),
 ) -> Vec<T> {
-    let mut out = vec![zero; nnz];
+    let Some(ctx) = d.dist else {
+        let full = match window {
+            Span::Rows(_) => (0, g.n()),
+            Span::Edges => (0, g.nnz()),
+        };
+        let (y, stats) = run(ops, full);
+        ops.record(stats);
+        d.capture_node(op, ins, &[buf_ref(&y)], None);
+        return y;
+    };
+    let (len, f) = match paste {
+        Span::Rows(f) => (g.n() * f, f),
+        Span::Edges => (g.nnz(), 1),
+    };
+    let mut out = vec![zero; len];
     for shard in &ctx.plan.shards {
-        let y = run(ops, shard);
-        let (e0, e1) = shard.edge_range;
-        out[e0..e1].copy_from_slice(&y[e0..e1]);
+        halo(ops, ctx, shard);
+        let win = window.of(shard);
+        let (y, stats) = run(ops, win);
+        ctx.log_compute(shard.index, stats.time_us);
+        ops.record(stats);
+        d.capture_node(op, ins, &[buf_ref(&y)], Some(win));
+        let (lo, hi) = paste.of(shard);
+        out[lo * f..hi * f].copy_from_slice(&y[lo * f..hi * f]);
     }
     out
 }
@@ -310,7 +319,7 @@ fn sharded_edges<T: Copy>(
 // Sparse-kernel dispatch. Every call records its stats into `ops`.
 // ---------------------------------------------------------------------
 
-/// f32 GCN aggregation under the chosen norm (Â is symmetric).
+/// f32 GCN aggregation under the chosen norm ([`Elem::gcn_agg`]).
 pub fn gcn_agg_f32(
     ops: &mut Ops,
     g: &GraphView,
@@ -319,53 +328,11 @@ pub fn gcn_agg_f32(
     norm: GcnNorm,
     d: Dispatch<'_>,
 ) -> Vec<f32> {
-    match norm {
-        GcnNorm::Right => spmm_mean_f32(ops, g, x, f, d),
-        GcnNorm::Left => {
-            let scaled = ops.row_scale_f32(x, &g.mean_scale_f, f);
-            spmm_sum_f32(ops, g, &scaled, f, d)
-        }
-        GcnNorm::Both => {
-            let scaled = ops.row_scale_f32(x, &g.inv_sqrt_scale_f, f);
-            spmm_f32_dispatch(
-                ops,
-                g,
-                EdgeWeightsF32::Ones,
-                &scaled,
-                f,
-                Some(&g.inv_sqrt_scale_f),
-                d,
-            )
-        }
-    }
+    f32::gcn_agg(ops, g, x, f, norm, d)
 }
 
-/// Adjoint of [`gcn_agg_f32`] on a symmetric Â.
-pub fn gcn_agg_backward_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    dy: &[f32],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match norm {
-        // (D⁻¹Â)ᵀ = Â D⁻¹: scale first, then sum.
-        GcnNorm::Right => {
-            let scaled = ops.row_scale_f32(dy, &g.mean_scale_f, f);
-            spmm_sum_f32(ops, g, &scaled, f, d)
-        }
-        // (ÂD⁻¹)ᵀ = D⁻¹Â: sum first, then scale — the §3.1.3 backward trap.
-        GcnNorm::Left => {
-            let summed = spmm_sum_f32(ops, g, dy, f, d);
-            ops.row_scale_f32(&summed, &g.mean_scale_f, f)
-        }
-        // D^-1/2 Â D^-1/2 is self-adjoint.
-        GcnNorm::Both => gcn_agg_f32(ops, g, dy, f, GcnNorm::Both, d),
-    }
-}
-
-/// Half GCN aggregation under the chosen norm and kernel system.
+/// Half GCN aggregation under the chosen norm and kernel system
+/// ([`Elem::gcn_agg`]).
 pub fn gcn_agg_half(
     ops: &mut Ops,
     g: &GraphView,
@@ -374,41 +341,7 @@ pub fn gcn_agg_half(
     norm: GcnNorm,
     d: Dispatch<'_>,
 ) -> Vec<Half> {
-    match norm {
-        GcnNorm::Right => spmm_mean_half(ops, g, x, f, d),
-        GcnNorm::Left => {
-            let scaled = ops.row_scale_half(x, &g.mean_scale_h, f);
-            spmm_sum_half(ops, g, &scaled, f, d)
-        }
-        GcnNorm::Both => {
-            let scaled = ops.row_scale_half(x, &g.inv_sqrt_scale_h, f);
-            spmm_half_dispatch(ops, g, EdgeWeights::Ones, &scaled, f, Some(&g.inv_sqrt_scale_h), d)
-        }
-    }
-}
-
-/// Adjoint of [`gcn_agg_half`]: the `Left` adjoint applies the degree norm
-/// *after* the reduction — under the naive kernels this is where the
-/// backward pass overflows even though the forward was safe (§3.1.3);
-/// HalfGNN's discretized mean is safe on both sides.
-pub fn gcn_agg_backward_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    dy: &[Half],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match norm {
-        GcnNorm::Right => {
-            let scaled = ops.row_scale_half(dy, &g.mean_scale_h, f);
-            spmm_sum_half(ops, g, &scaled, f, d)
-        }
-        // D⁻¹Â δy is exactly a mean aggregation of δy: the naive path runs
-        // sum-then-post-scale (overflow), HalfGNN discretizes it.
-        GcnNorm::Left => spmm_mean_half(ops, g, dy, f, d),
-        GcnNorm::Both => gcn_agg_half(ops, g, dy, f, GcnNorm::Both, d),
-    }
+    Half::gcn_agg(ops, g, x, f, norm, d)
 }
 
 /// The single HalfGNN SpMM plan-resolution point: every SpMMv/SpMMve
@@ -547,7 +480,7 @@ fn spmm_i8_planned(
 
 /// One windowed half SpMM launch under the mode's kernel system.
 #[allow(clippy::too_many_arguments)]
-fn spmm_half_window(
+pub(crate) fn spmm_half_window(
     ops: &mut Ops,
     g: &GraphView,
     w: EdgeWeights<'_>,
@@ -573,139 +506,8 @@ fn spmm_half_window(
     }
 }
 
-/// Half SpMM dispatch: one full-window launch, or — with a [`DistCtx`]
-/// attached — per-shard halo exchange + windowed launch + paste.
-fn spmm_half_dispatch(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeights<'_>,
-    x: &[Half],
-    f: usize,
-    row_scale: Option<&[Half]>,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    let mut ins = vec![buf_ref(x)];
-    if let EdgeWeights::Values(wv) = w {
-        ins.push(buf_ref(wv));
-    }
-    if let Some(rs) = row_scale {
-        ins.push(buf_ref(rs));
-    }
-    match d.dist {
-        None => {
-            let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, (0, g.n()));
-            ops.record(stats);
-            d.capture_node("spmm_half", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), f, Half::ZERO, |ops, shard| {
-            if d.mode == PrecisionMode::I8 {
-                ctx.exchange_halo_i8(ops, x, f, shard, d.quant_seed);
-            } else {
-                ctx.exchange_halo_half(ops, x, f, shard);
-            }
-            let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("spmm_half", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-/// Float SpMM dispatch (cuSPARSE kernel), sharded like
-/// [`spmm_half_dispatch`] but with 4-byte halo elements.
-fn spmm_f32_dispatch(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeightsF32<'_>,
-    x: &[f32],
-    f: usize,
-    row_scale: Option<&[f32]>,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    let mut ins = vec![buf_ref(x)];
-    if let EdgeWeightsF32::Values(wv) = w {
-        ins.push(buf_ref(wv));
-    }
-    if let Some(rs) = row_scale {
-        ins.push(buf_ref(rs));
-    }
-    match d.dist {
-        None => {
-            // The forced vertex-parallel skeleton (serving) runs the
-            // GE-SpMM row-per-warp kernel: each row reduces its own
-            // neighbors in column order, so output bits are independent
-            // of which other rows share the launch. Degree norm becomes a
-            // post-reduction row scale, same placement as the cuSPARSE
-            // path. (Weighted SpMMve — GAT — keeps the edge-tiled kernel;
-            // serving only dispatches unweighted GCN aggregation.)
-            let (y, stats) = if d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones() {
-                let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
-                if let Some(scale) = row_scale {
-                    for (r, &sc) in scale.iter().enumerate() {
-                        for v in &mut y[r * f..(r + 1) * f] {
-                            *v *= sc;
-                        }
-                    }
-                }
-                (y, stats)
-            } else {
-                cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, (0, g.n()))
-            };
-            ops.record(stats);
-            d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), f, 0.0f32, |ops, shard| {
-            ctx.exchange_halo_f32(ops, x, f, shard);
-            let (y, stats) =
-                cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-/// Half SpMMv with mean (right degree-norm) aggregation.
-pub fn spmm_mean_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Ones, x, f, Some(&g.mean_scale_h), d)
-}
-
-/// Half SpMMv, plain sum (GIN's default aggregation; backward passes).
-pub fn spmm_sum_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Ones, x, f, None, d)
-}
-
-/// Half SpMMve (weighted sum — GAT's attention aggregation; the attention
-/// weights are normalized, so no degree scaling is needed).
-pub fn spmmve_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[Half],
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Values(w), x, f, None, d)
-}
-
 /// One windowed half SDDMM launch under the mode's kernel system.
-fn sddmm_half_window(
+pub(crate) fn sddmm_half_window(
     ops: &mut Ops,
     g: &GraphView,
     u: &[Half],
@@ -737,380 +539,8 @@ fn sddmm_half_window(
             };
             halfgnn_sddmm::sddmm_window(ops.dev, &g.coo, u, v, f, &plan.to_sddmm_config(), win)
         }
-        PrecisionMode::Float => unreachable!("float path uses sddmm_f32"),
+        PrecisionMode::Float => unreachable!("float path uses the f32 SDDMM"),
     }
-}
-
-/// Half SDDMM dispatch: DGL's naive kernel or HalfGNN's vector-width
-/// design, with the plan resolved by the tuner when one is attached and
-/// by [`SddmmConfig::widest_for`] (the paper's widest-legal-width rule)
-/// otherwise. `u` is row-indexed (shard-local); `v` is column-indexed, so
-/// sharded runs halo-exchange it before each per-shard edge window.
-pub fn sddmm_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    u: &[Half],
-    v: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => {
-            let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, (0, g.nnz()));
-            ops.record(stats);
-            d.capture_node("sddmm_half", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-            if d.mode == PrecisionMode::I8 {
-                ctx.exchange_halo_i8(ops, v, f, shard, d.quant_seed);
-            } else {
-                ctx.exchange_halo_half(ops, v, f, shard);
-            }
-            let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, shard.edge_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "sddmm_half",
-                &[buf_ref(u), buf_ref(v)],
-                &[buf_ref(&y)],
-                Some(shard.edge_range),
-            );
-            y
-        }),
-    }
-}
-
-/// Half per-row edge reduce (softmax max/denominator). Edge weights are
-/// edge-partitioned with the rows that own them, so sharded runs need no
-/// halo — only the windowed launch and the row paste.
-pub fn edge_reduce_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[Half],
-    op: Reduce,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => {
-            let (y, stats) = halfgnn_spmm::edge_reduce(ops.dev, &g.coo, w, op);
-            ops.record(stats);
-            d.capture_node("edge_reduce_half", &[buf_ref(w)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, Half::ZERO, |ops, shard| {
-            let (y, stats) =
-                halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "edge_reduce_half",
-                &[buf_ref(w)],
-                &[buf_ref(&y)],
-                Some(shard.row_range),
-            );
-            y
-        }),
-    }
-}
-
-/// Fused attention forward dispatch (SDDMM + edge-softmax + SpMM in one
-/// pass). Sharded runs halo-exchange `z` once for the whole fused pass —
-/// the fusion win carries over to the wire: one exchange instead of the
-/// unfused chain's two (SDDMM + SpMMve).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_attn_forward(
-    ops: &mut Ops,
-    g: &GraphView,
-    s_dst: &[Half],
-    s_src: &[Half],
-    slope: f32,
-    z: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> FusedAttnForward {
-    let ins = [buf_ref(s_dst), buf_ref(s_src), buf_ref(z)];
-    match d.dist {
-        None => {
-            let (y, stats) = fused::fused_attn_forward(ops.dev, &g.coo, s_dst, s_src, slope, z, f);
-            ops.record(stats);
-            d.capture_node(
-                "fused_attn_forward",
-                &ins,
-                &[buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)],
-                None,
-            );
-            y
-        }
-        Some(ctx) => {
-            let mut acc = FusedAttnForward {
-                e: vec![Half::ZERO; g.nnz()],
-                alpha: vec![Half::ZERO; g.nnz()],
-                out: vec![Half::ZERO; g.n() * f],
-            };
-            for shard in &ctx.plan.shards {
-                ctx.exchange_halo_half(ops, z, f, shard);
-                let (y, stats) = fused::fused_attn_forward_window(
-                    ops.dev,
-                    &g.coo,
-                    s_dst,
-                    s_src,
-                    slope,
-                    z,
-                    f,
-                    shard.row_range,
-                );
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                d.capture_node(
-                    "fused_attn_forward",
-                    &ins,
-                    &[buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)],
-                    Some(shard.row_range),
-                );
-                let (r0, r1) = shard.row_range;
-                let (e0, e1) = shard.edge_range;
-                acc.e[e0..e1].copy_from_slice(&y.e[e0..e1]);
-                acc.alpha[e0..e1].copy_from_slice(&y.alpha[e0..e1]);
-                acc.out[r0 * f..r1 * f].copy_from_slice(&y.out[r0 * f..r1 * f]);
-            }
-            acc
-        }
-    }
-}
-
-/// Fused softmax-backward dispatch. All operands are edge tensors (local
-/// to the shard that owns the rows), so sharded runs are windowed launches
-/// with zero communication.
-pub fn fused_softmax_grad(
-    ops: &mut Ops,
-    g: &GraphView,
-    alpha: &[Half],
-    dalpha: &[Half],
-    e: &[Half],
-    slope: f32,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    let ins = [buf_ref(alpha), buf_ref(dalpha), buf_ref(e)];
-    match d.dist {
-        None => {
-            let (y, stats) = fused::fused_softmax_grad(ops.dev, &g.coo, alpha, dalpha, e, slope);
-            ops.record(stats);
-            d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-            let (y, stats) = fused::fused_softmax_grad_window(
-                ops.dev,
-                &g.coo,
-                alpha,
-                dalpha,
-                e,
-                slope,
-                shard.row_range,
-            );
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-/// Float SpMMv with mean aggregation (cuSPARSE + post scale, as DGL does).
-pub fn spmm_mean_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Ones, x, f, Some(&g.mean_scale_f), d)
-}
-
-/// Float SpMMv, plain sum.
-pub fn spmm_sum_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Ones, x, f, None, d)
-}
-
-/// Float SpMMve.
-pub fn spmmve_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[f32],
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Values(w), x, f, None, d)
-}
-
-/// Float SDDMM (DGL's). `v` is column-indexed → halo-exchanged when
-/// sharded.
-pub fn sddmm_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    u: &[f32],
-    v: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match d.dist {
-        None => {
-            let (y, stats) = dgl_sddmm::sddmm_float(ops.dev, &g.coo, u, v, f);
-            ops.record(stats);
-            d.capture_node("sddmm_f32", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), 0.0f32, |ops, shard| {
-            ctx.exchange_halo_f32(ops, v, f, shard);
-            let (y, stats) =
-                dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, shard.edge_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "sddmm_f32",
-                &[buf_ref(u), buf_ref(v)],
-                &[buf_ref(&y)],
-                Some(shard.edge_range),
-            );
-            y
-        }),
-    }
-}
-
-/// Float edge reduce (no halo, like [`edge_reduce_half`]).
-pub fn edge_reduce_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[f32],
-    op: Reduce,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match d.dist {
-        None => {
-            let (y, stats) = edge_ops::edge_reduce_f32(ops.dev, &g.coo, w, op);
-            ops.record(stats);
-            d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, 0.0f32, |ops, shard| {
-            let (y, stats) =
-                edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Gradient reductions. Weight gradients contract activations over the
-// vertex dimension, so a sharded device only ever holds the row slice it
-// owns: the full gradient is the all-reduce of per-shard partials. Half
-// modes move the partials over the f16 wire with discretized per-bucket
-// scaling (overflow-free by construction); float mode's reduction is the
-// exact global GEMM the single-device step computes, so only the f32 wire
-// cost is charged and sharded float training stays bit-identical.
-// ---------------------------------------------------------------------
-
-/// Vertex-contracted gradient GEMM `AᵀB` with `A: n×m`, `B: n×c` (both
-/// row-major over vertices), producing the `m×c` weight gradient.
-pub fn grad_gemm_half(
-    ops: &mut Ops,
-    a: &[Half],
-    b: &[Half],
-    m: usize,
-    n: usize,
-    c: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => ops.gemm_half(a, true, b, false, m, n, c),
-        Some(ctx) => {
-            let partials: Vec<Vec<Half>> = ctx
-                .plan
-                .shards
-                .iter()
-                .map(|s| {
-                    let (r0, r1) = s.row_range;
-                    ops.gemm_half(
-                        &a[r0 * m..r1 * m],
-                        true,
-                        &b[r0 * c..r1 * c],
-                        false,
-                        m,
-                        r1 - r0,
-                        c,
-                    )
-                })
-                .collect();
-            if d.mode == PrecisionMode::I8 {
-                ctx.allreduce_grad_i8(ops, &partials, d.quant_seed)
-            } else {
-                ctx.allreduce_grad_half(ops, &partials)
-            }
-        }
-    }
-}
-
-/// Vertex-contracted gradient GEMM `AᵀB` in float. The value is the exact
-/// global contraction; only the all-reduce wire traffic is charged.
-pub fn grad_gemm_f32(
-    ops: &mut Ops,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    c: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    let y = ops.gemm_f32(a, true, b, false, m, n, c);
-    if let Some(ctx) = d.dist {
-        ctx.charge_allreduce_f32(y.len());
-    }
-    y
-}
-
-/// Bias gradient (column sum over vertices) in half, all-reduced over the
-/// f16 wire when sharded.
-pub fn grad_colsum_half(ops: &mut Ops, x: &[Half], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-    match d.dist {
-        None => ops.colsum_half(x, c),
-        Some(ctx) => {
-            let partials: Vec<Vec<f32>> = ctx
-                .plan
-                .shards
-                .iter()
-                .map(|s| {
-                    let (r0, r1) = s.row_range;
-                    ops.colsum_half(&x[r0 * c..r1 * c], c)
-                })
-                .collect();
-            if d.mode == PrecisionMode::I8 {
-                ctx.allreduce_f32_on_i8_wire(ops, &partials, d.quant_seed)
-            } else {
-                ctx.allreduce_f32_on_f16_wire(ops, &partials)
-            }
-        }
-    }
-}
-
-/// Bias gradient (column sum over vertices) in float; exact value, wire
-/// cost charged when sharded.
-pub fn grad_colsum_f32(ops: &mut Ops, x: &[f32], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-    let y = ops.colsum_f32(x, c);
-    if let Some(ctx) = d.dist {
-        ctx.charge_allreduce_f32(y.len());
-    }
-    y
 }
 
 #[cfg(test)]
@@ -1118,6 +548,7 @@ mod tests {
     use super::*;
     use halfgnn_graph::partition::PartitionStrategy;
     use halfgnn_graph::Csr;
+    use halfgnn_kernels::common::Reduce;
     use halfgnn_sim::interconnect::Topology;
     use halfgnn_sim::DeviceConfig;
 
@@ -1136,7 +567,7 @@ mod tests {
             [PrecisionMode::HalfNaive, PrecisionMode::HalfGnn, PrecisionMode::HalfGnnNoDiscretize]
         {
             let mut ops = Ops::new(&dev);
-            let y = spmm_mean_half(&mut ops, &g, &x, 4, mode.into());
+            let y = Half::spmm_mean(&mut ops, &g, &x, 4, mode.into());
             assert_eq!(y.len(), g.n() * 4);
             // Mean of constant 0.5 is 0.5 whatever the kernel.
             assert!((y[0].to_f32() - 0.5).abs() < 0.01, "{mode:?}: {}", y[0]);
@@ -1151,8 +582,8 @@ mod tests {
         let xf: Vec<f32> = (0..g.n() * 4).map(|i| (i % 7) as f32 * 0.25 - 0.75).collect();
         let xh: Vec<Half> = xf.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let yf = spmm_sum_f32(&mut ops, &g, &xf, 4, Dispatch::untuned(PrecisionMode::Float));
-        let yh = spmm_sum_half(&mut ops, &g, &xh, 4, PrecisionMode::HalfGnn.into());
+        let yf = f32::spmm_sum(&mut ops, &g, &xf, 4, Dispatch::untuned(PrecisionMode::Float));
+        let yh = Half::spmm_sum(&mut ops, &g, &xh, 4, PrecisionMode::HalfGnn.into());
         for (a, b) in yf.iter().zip(&yh) {
             assert!((a - b.to_f32()).abs() < 0.05, "{a} vs {b}");
         }
@@ -1185,40 +616,40 @@ mod tests {
         let single = Dispatch::untuned(PrecisionMode::HalfGnn);
         let shard = single.with_dist(Some(&ctx));
         assert_eq!(
-            spmm_mean_half(&mut ops, &g, &xh, f, single),
-            spmm_mean_half(&mut ops, &g, &xh, f, shard)
+            Half::spmm_mean(&mut ops, &g, &xh, f, single),
+            Half::spmm_mean(&mut ops, &g, &xh, f, shard)
         );
         assert_eq!(
-            spmmve_half(&mut ops, &g, &wh, &xh, f, single),
-            spmmve_half(&mut ops, &g, &wh, &xh, f, shard)
+            Half::spmmve(&mut ops, &g, &wh, &xh, f, single),
+            Half::spmmve(&mut ops, &g, &wh, &xh, f, shard)
         );
         assert_eq!(
-            sddmm_half(&mut ops, &g, &xh, &xh, f, single),
-            sddmm_half(&mut ops, &g, &xh, &xh, f, shard)
+            Half::sddmm(&mut ops, &g, &xh, &xh, f, single),
+            Half::sddmm(&mut ops, &g, &xh, &xh, f, shard)
         );
         assert_eq!(
-            edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, single),
-            edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, shard)
+            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, single),
+            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, shard)
         );
 
         let fsingle = Dispatch::untuned(PrecisionMode::Float);
         let fshard = fsingle.with_dist(Some(&ctx));
         assert_eq!(
-            spmm_sum_f32(&mut ops, &g, &xf, f, fsingle),
-            spmm_sum_f32(&mut ops, &g, &xf, f, fshard)
+            f32::spmm_sum(&mut ops, &g, &xf, f, fsingle),
+            f32::spmm_sum(&mut ops, &g, &xf, f, fshard)
         );
         assert_eq!(
-            sddmm_f32(&mut ops, &g, &xf, &xf, f, fsingle),
-            sddmm_f32(&mut ops, &g, &xf, &xf, f, fshard)
+            f32::sddmm(&mut ops, &g, &xf, &xf, f, fsingle),
+            f32::sddmm(&mut ops, &g, &xf, &xf, f, fshard)
         );
         assert_eq!(
-            edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, fsingle),
-            edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, fshard)
+            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fsingle),
+            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fshard)
         );
         // Float grad reductions are the exact global contraction.
         assert_eq!(
-            grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, fsingle),
-            grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, fshard)
+            f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, fsingle),
+            f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, fshard)
         );
         // And the dispatch actually metered traffic.
         assert!(ctx.snapshot().total_bytes() > 0);
@@ -1236,13 +667,12 @@ mod tests {
         let mut ops = Ops::new(&dev);
         let single = Dispatch::untuned(PrecisionMode::HalfGnn);
         let shard = single.with_dist(Some(&ctx));
-        let a = fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, single);
-        let b = fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, shard);
-        assert_eq!(a.e, b.e);
-        assert_eq!(a.alpha, b.alpha);
-        assert_eq!(a.out, b.out);
-        let ga = fused_softmax_grad(&mut ops, &g, &a.alpha, &a.e, &a.e, 0.2, single);
-        let gb = fused_softmax_grad(&mut ops, &g, &a.alpha, &a.e, &a.e, 0.2, shard);
+        let a = Half::fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, single);
+        let b = Half::fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, shard);
+        assert_eq!(a, b);
+        let [e, alpha, _] = &a;
+        let ga = Half::fused_softmax_grad(&mut ops, &g, alpha, e, e, 0.2, single);
+        let gb = Half::fused_softmax_grad(&mut ops, &g, alpha, e, e, 0.2, shard);
         assert_eq!(ga, gb);
     }
 }

@@ -4,6 +4,27 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Concatenate parameter (or gradient) tensors into one flat vector.
+pub(crate) fn concat(parts: &[&Vec<f32>]) -> Vec<f32> {
+    let mut v = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for part in parts {
+        v.extend_from_slice(part);
+    }
+    v
+}
+
+/// Copy a flat vector back into parameter tensors: the inverse of
+/// [`concat`] over the same parts.
+pub(crate) fn scatter<const N: usize>(flat: &[f32], parts: [&mut Vec<f32>; N]) {
+    let mut off = 0;
+    for part in parts {
+        let len = part.len();
+        part.copy_from_slice(&flat[off..off + len]);
+        off += len;
+    }
+    assert_eq!(off, flat.len(), "flat vector length must match the parameter count");
+}
+
 /// Glorot-uniform matrix, `rows × cols`.
 pub fn glorot(rows: usize, cols: usize, rng: &mut StdRng) -> Vec<f32> {
     let limit = (6.0 / (rows + cols) as f32).sqrt();
@@ -47,24 +68,12 @@ impl TwoLayerParams {
 
     /// Flatten parameters for the optimizer (order: w1, b1, w2, b2).
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.num_params());
-        v.extend_from_slice(&self.w1);
-        v.extend_from_slice(&self.b1);
-        v.extend_from_slice(&self.w2);
-        v.extend_from_slice(&self.b2);
-        v
+        concat(&[&self.w1, &self.b1, &self.w2, &self.b2])
     }
 
     /// Write a flat vector back into the structured parameters.
     pub fn set_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.num_params());
-        let (a, rest) = flat.split_at(self.w1.len());
-        let (b, rest) = rest.split_at(self.b1.len());
-        let (c, d) = rest.split_at(self.w2.len());
-        self.w1.copy_from_slice(a);
-        self.b1.copy_from_slice(b);
-        self.w2.copy_from_slice(c);
-        self.b2.copy_from_slice(d);
+        scatter(flat, [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]);
     }
 
     /// Total parameter count.
@@ -89,12 +98,7 @@ pub struct TwoLayerGrads {
 impl TwoLayerGrads {
     /// Flatten in the same order as [`TwoLayerParams::flat`].
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::new();
-        v.extend_from_slice(&self.w1);
-        v.extend_from_slice(&self.b1);
-        v.extend_from_slice(&self.w2);
-        v.extend_from_slice(&self.b2);
-        v
+        concat(&[&self.w1, &self.b1, &self.w2, &self.b2])
     }
 }
 
@@ -140,29 +144,16 @@ impl GatParams {
 
     /// Flat view (w1, a_src1, a_dst1, w2, a_src2, a_dst2).
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.num_params());
-        for part in [&self.w1, &self.a_src1, &self.a_dst1, &self.w2, &self.a_src2, &self.a_dst2] {
-            v.extend_from_slice(part);
-        }
-        v
+        concat(&[&self.w1, &self.a_src1, &self.a_dst1, &self.w2, &self.a_src2, &self.a_dst2])
     }
 
     /// Restore from a flat vector.
     pub fn set_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.num_params());
-        let mut off = 0;
-        for part in [
-            &mut self.w1,
-            &mut self.a_src1,
-            &mut self.a_dst1,
-            &mut self.w2,
-            &mut self.a_src2,
-            &mut self.a_dst2,
-        ] {
-            let len = part.len();
-            part.copy_from_slice(&flat[off..off + len]);
-            off += len;
-        }
+        let p = self;
+        scatter(
+            flat,
+            [&mut p.w1, &mut p.a_src1, &mut p.a_dst1, &mut p.w2, &mut p.a_src2, &mut p.a_dst2],
+        );
     }
 
     /// Total parameter count.
@@ -196,11 +187,7 @@ pub struct GatGrads {
 impl GatGrads {
     /// Flat view matching [`GatParams::flat`].
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::new();
-        for part in [&self.w1, &self.a_src1, &self.a_dst1, &self.w2, &self.a_src2, &self.a_dst2] {
-            v.extend_from_slice(part);
-        }
-        v
+        concat(&[&self.w1, &self.a_src1, &self.a_dst1, &self.w2, &self.a_src2, &self.a_dst2])
     }
 }
 

@@ -8,17 +8,16 @@
 //! the degree norm and NaNs on hub graphs; HalfGNN's discretized kernel
 //! does not.
 
+use crate::elem::Elem;
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{
-    grad_colsum_f32, grad_colsum_half, grad_gemm_f32, grad_gemm_half, spmm_mean_f32,
-    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch, PrecisionMode,
-};
-use crate::params::glorot;
-use halfgnn_half::Half;
+use crate::models::Dispatch;
+use crate::params::{concat, glorot, scatter};
+use halfgnn_half::overflow::site;
 use halfgnn_tensor::Ops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Two-layer GraphSAGE parameters: per layer a self weight, a neighbor
 /// weight, and a bias.
@@ -62,31 +61,24 @@ impl SageParams {
 
     /// Flat view for the optimizer.
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.num_params());
-        for part in
-            [&self.w_self1, &self.w_neigh1, &self.b1, &self.w_self2, &self.w_neigh2, &self.b2]
-        {
-            v.extend_from_slice(part);
-        }
-        v
+        let p = self;
+        concat(&[&p.w_self1, &p.w_neigh1, &p.b1, &p.w_self2, &p.w_neigh2, &p.b2])
     }
 
     /// Restore from the flat view.
     pub fn set_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.num_params());
-        let mut off = 0;
-        for part in [
-            &mut self.w_self1,
-            &mut self.w_neigh1,
-            &mut self.b1,
-            &mut self.w_self2,
-            &mut self.w_neigh2,
-            &mut self.b2,
-        ] {
-            let len = part.len();
-            part.copy_from_slice(&flat[off..off + len]);
-            off += len;
-        }
+        let p = self;
+        scatter(
+            flat,
+            [
+                &mut p.w_self1,
+                &mut p.w_neigh1,
+                &mut p.b1,
+                &mut p.w_self2,
+                &mut p.w_neigh2,
+                &mut p.b2,
+            ],
+        );
     }
 
     /// Total parameter count.
@@ -115,171 +107,99 @@ pub struct SageGrads {
 impl SageGrads {
     /// Flat view matching [`SageParams::flat`].
     pub fn flat(&self) -> Vec<f32> {
-        let mut v = Vec::new();
-        for part in
-            [&self.w_self1, &self.w_neigh1, &self.b1, &self.w_self2, &self.w_neigh2, &self.b2]
-        {
-            v.extend_from_slice(part);
-        }
-        v
+        let g = self;
+        concat(&[&g.w_self1, &g.w_neigh1, &g.b1, &g.w_self2, &g.w_neigh2, &g.b2])
     }
 }
 
-/// One f32 GraphSAGE step.
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &SageParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<SageGrads> {
-    step_f32_dist(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
+/// One forward pass: the step's casts and saved activations, plus the
+/// logits.
+pub struct Forward<'a, T: Elem> {
+    w_self2: Cow<'a, [T]>,
+    w_neigh2: Cow<'a, [T]>,
+    m1: Vec<T>,
+    z1: Vec<T>,
+    h1: Vec<T>,
+    m2: Vec<T>,
+    /// Logits, row-major `n × classes`, in f32.
+    pub logits: Vec<f32>,
 }
 
-/// [`step_f32`] with an explicit dispatch (the sharded trainer threads a
-/// [`crate::dist::DistCtx`] through it).
-#[allow(clippy::too_many_arguments)]
-pub fn step_f32_dist(
+/// Forward pass under the dispatch's kernel system.
+pub fn forward<'a, T: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    p: &SageParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
+    p: &'a SageParams,
+    x: &[T],
     d: Dispatch<'_>,
-) -> StepOutput<SageGrads> {
+) -> Forward<'a, T> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
+    let w_self1 = T::weight(ops, &p.w_self1);
+    let w_neigh1 = T::weight(ops, &p.w_neigh1);
+    let b1 = T::weight(ops, &p.b1);
+    let w_self2 = T::weight(ops, &p.w_self2);
+    let w_neigh2 = T::weight(ops, &p.w_neigh2);
+    let b2 = T::weight(ops, &p.b2);
+    let one = T::ONE;
 
-    // ---- Forward.
-    let m1 = spmm_mean_f32(ops, g, x, f_in, d);
-    let zs1 = ops.gemm_f32(x, false, &p.w_self1, false, n, f_in, h);
-    let zn1 = ops.gemm_f32(&m1, false, &p.w_neigh1, false, n, f_in, h);
-    let z1 = ops.scale_add_f32(1.0, &zs1, 1.0, &zn1);
-    let z1 = ops.bias_add_f32(&z1, &p.b1);
-    let h1 = ops.relu_f32(&z1);
-    let m2 = spmm_mean_f32(ops, g, &h1, h, d);
-    let zs2 = ops.gemm_f32(&h1, false, &p.w_self2, false, n, h, c);
-    let zn2 = ops.gemm_f32(&m2, false, &p.w_neigh2, false, n, h, c);
-    let z2 = ops.scale_add_f32(1.0, &zs2, 1.0, &zn2);
-    let logits = ops.bias_add_f32(&z2, &p.b2);
-
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-
-    // ---- Backward.
-    let dw_self2 = grad_gemm_f32(ops, &h1, &dlogits, h, n, c, d);
-    let dw_neigh2 = grad_gemm_f32(ops, &m2, &dlogits, h, n, c, d);
-    let db2 = grad_colsum_f32(ops, &dlogits, c, d);
-    // δh1 = δz2 W_self2ᵀ + meanᵀ(δz2) W_neigh2ᵀ  (mean adjoint: scale+sum).
-    let dh_self = ops.gemm_f32(&dlogits, false, &p.w_self2, true, n, c, h);
-    let dm2 = ops.gemm_f32(&dlogits, false, &p.w_neigh2, true, n, c, h);
-    let scaled = ops.row_scale_f32(&dm2, &g.mean_scale_f, h);
-    let dh_neigh = spmm_sum_f32(ops, g, &scaled, h, d);
-    let dh1 = ops.scale_add_f32(1.0, &dh_self, 1.0, &dh_neigh);
-    let dz1 = ops.relu_grad_f32(&z1, &dh1);
-    let dw_self1 = grad_gemm_f32(ops, x, &dz1, f_in, n, h, d);
-    let dw_neigh1 = grad_gemm_f32(ops, &m1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_f32(ops, &dz1, h, d);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: SageGrads {
-            w_self1: dw_self1,
-            w_neigh1: dw_neigh1,
-            b1: db1,
-            w_self2: dw_self2,
-            w_neigh2: dw_neigh2,
-            b2: db2,
-        },
-        logits,
-    }
-}
-
-/// One mixed-precision GraphSAGE step under the chosen kernel system.
-pub fn step_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &SageParams,
-    x: &[Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<SageGrads> {
-    let n = g.n();
-    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-
-    let w_self1 = ops.to_half(&p.w_self1);
-    let w_neigh1 = ops.to_half(&p.w_neigh1);
-    let b1h = ops.to_half(&p.b1);
-    let w_self2 = ops.to_half(&p.w_self2);
-    let w_neigh2 = ops.to_half(&p.w_neigh2);
-    let b2h = ops.to_half(&p.b2);
-    let one = Half::ONE;
-
-    // ---- Forward.
-    let layer1 = halfgnn_half::overflow::site("sage.layer1");
-    let m1 = spmm_mean_half(ops, g, x, f_in, d);
-    let zs1 = ops.gemm_half(x, false, &w_self1, false, n, f_in, h);
-    let zn1 = ops.gemm_half(&m1, false, &w_neigh1, false, n, f_in, h);
-    let z1 = ops.scale_add_half(one, &zs1, one, &zn1);
-    let z1 = ops.bias_add_half(&z1, &b1h);
-    let h1 = ops.relu_half(&z1);
+    let layer1 = site("sage.layer1");
+    let m1 = T::spmm_mean(ops, g, x, f_in, d);
+    let zs1 = T::gemm(ops, x, false, &w_self1, false, n, f_in, h);
+    let zn1 = T::gemm(ops, &m1, false, &w_neigh1, false, n, f_in, h);
+    let z1 = T::scale_add(ops, one, &zs1, one, &zn1);
+    let z1 = T::bias_add(ops, &z1, &b1);
+    let h1 = T::relu(ops, &z1);
     drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("sage.layer2");
-    let m2 = spmm_mean_half(ops, g, &h1, h, d);
-    let zs2 = ops.gemm_half(&h1, false, &w_self2, false, n, h, c);
-    let zn2 = ops.gemm_half(&m2, false, &w_neigh2, false, n, h, c);
-    let z2 = ops.scale_add_half(one, &zs2, one, &zn2);
-    let out = ops.bias_add_half(&z2, &b2h);
+    let layer2 = site("sage.layer2");
+    let m2 = T::spmm_mean(ops, g, &h1, h, d);
+    let zs2 = T::gemm(ops, &h1, false, &w_self2, false, n, h, c);
+    let zn2 = T::gemm(ops, &m2, false, &w_neigh2, false, n, h, c);
+    let z2 = T::scale_add(ops, one, &zs2, one, &zn2);
+    let out = T::bias_add(ops, &z2, &b2);
     drop(layer2);
+    let logits = T::logits(ops, out);
+    Forward { w_self2, w_neigh2, m1, z1, h1, m2, logits }
+}
 
-    let logits = ops.to_f32(&out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for gv in dlogits.iter_mut() {
-            *gv *= loss_scale;
-        }
-    }
+/// One training step: [`forward`], loss, backward.
+pub fn step<T: Elem>(
+    ops: &mut Ops,
+    g: &GraphView,
+    p: &SageParams,
+    x: &[T],
+    labels: &[u32],
+    mask: &[bool],
+    d: Dispatch<'_>,
+) -> StepOutput<SageGrads> {
+    let n = g.n();
+    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
+    let one = T::ONE;
+    let fwd = forward(ops, g, p, x, d);
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&fwd.logits, labels, mask, c);
 
-    // ---- Backward.
-    let _bwd = halfgnn_half::overflow::site("sage.backward");
-    let dout = ops.to_half(&dlogits);
-    let dw_self2h = grad_gemm_half(ops, &h1, &dout, h, n, c, d);
-    let dw_neigh2h = grad_gemm_half(ops, &m2, &dout, h, n, c, d);
-    let db2 = grad_colsum_half(ops, &dout, c, d);
-    let dh_self = ops.gemm_half(&dout, false, &w_self2, true, n, c, h);
-    let dm2 = ops.gemm_half(&dout, false, &w_neigh2, true, n, c, h);
-    let scaled = ops.row_scale_half(&dm2, &g.mean_scale_h, h);
-    let dh_neigh = spmm_sum_half(ops, g, &scaled, h, d);
-    let dh1 = ops.scale_add_half(one, &dh_self, one, &dh_neigh);
-    let dz1 = ops.relu_grad_half(&z1, &dh1);
-    let dw_self1h = grad_gemm_half(ops, x, &dz1, f_in, n, h, d);
-    let dw_neigh1h = grad_gemm_half(ops, &m1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_half(ops, &dz1, h, d);
+    let _bwd = site("sage.backward");
+    let dout = T::loss_grad(ops, dlogits);
+    let dw_self2 = T::grad_gemm(ops, &fwd.h1, &dout, h, n, c, d);
+    let dw_neigh2 = T::grad_gemm(ops, &fwd.m2, &dout, h, n, c, d);
+    let db2 = T::grad_colsum(ops, &dout, c, d);
+    // δh1 = δz2 W_self2ᵀ + meanᵀ(δz2) W_neigh2ᵀ  (mean adjoint: scale+sum).
+    let dh_self = T::gemm(ops, &dout, false, &fwd.w_self2, true, n, c, h);
+    let dm2 = T::gemm(ops, &dout, false, &fwd.w_neigh2, true, n, c, h);
+    let scaled = T::row_scale(ops, &dm2, T::mean_scale(g), h);
+    let dh_neigh = T::spmm_sum(ops, g, &scaled, h, d);
+    let dh1 = T::scale_add(ops, one, &dh_self, one, &dh_neigh);
+    let dz1 = T::relu_grad(ops, &fwd.z1, &dh1);
+    let dw_self1 = T::grad_gemm(ops, x, &dz1, f_in, n, h, d);
+    let dw_neigh1 = T::grad_gemm(ops, &fwd.m1, &dz1, f_in, n, h, d);
+    let db1 = T::grad_colsum(ops, &dz1, h, d);
 
-    let mut grads = SageGrads {
-        w_self1: ops.to_f32(&dw_self1h),
-        w_neigh1: ops.to_f32(&dw_neigh1h),
-        b1: db1,
-        w_self2: ops.to_f32(&dw_self2h),
-        w_neigh2: ops.to_f32(&dw_neigh2h),
-        b2: db2,
-    };
-    for part in [
-        &mut grads.w_self1,
-        &mut grads.w_neigh1,
-        &mut grads.b1,
-        &mut grads.w_self2,
-        &mut grads.w_neigh2,
-        &mut grads.b2,
-    ] {
-        ops.unscale_grad(part);
-    }
-
-    StepOutput { loss, correct, grads, logits }
+    let [w_self1, w_neigh1, w_self2, w_neigh2] =
+        [dw_self1, dw_neigh1, dw_self2, dw_neigh2].map(|g| T::master_grad(ops, g));
+    let [w_self1, w_neigh1, b1, w_self2, w_neigh2, b2] =
+        T::unscale(ops, [w_self1, w_neigh1, db1, w_self2, w_neigh2, db2]);
+    let grads = SageGrads { w_self1, w_neigh1, b1, w_self2, w_neigh2, b2 };
+    StepOutput { loss, grads, logits: fwd.logits }
 }
 
 #[cfg(test)]
@@ -288,7 +208,19 @@ mod tests {
     use crate::models::PrecisionMode;
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
+    use halfgnn_half::Half;
     use halfgnn_sim::DeviceConfig;
+
+    fn float_step(
+        ops: &mut Ops,
+        g: &GraphView,
+        p: &SageParams,
+        x: &[f32],
+        labels: &[u32],
+        mask: &[bool],
+    ) -> StepOutput<SageGrads> {
+        step(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
+    }
 
     fn toy() -> (GraphView, Vec<f32>, Vec<u32>, Vec<bool>) {
         let (edges, labels) = gen::sbm(&[20, 20], 0.4, 0.02, 13);
@@ -304,7 +236,7 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = SageParams::new(8, 6, 2, 5);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let out = float_step(&mut ops, &g, &p, &x, &labels, &mask);
         let eps = 1e-3;
         // One coordinate in each parameter tensor covers every path.
         let checks: Vec<(&str, usize)> =
@@ -330,9 +262,9 @@ mod tests {
             };
             let orig = read(&p);
             write(&mut p, orig + eps);
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             write(&mut p, orig - eps);
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = float_step(&mut ops, &g, &p, &x, &labels, &mask).loss;
             write(&mut p, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -349,8 +281,8 @@ mod tests {
         let p = SageParams::new(8, 6, 2, 5);
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
-        let h = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let f = float_step(&mut ops, &g, &p, &x, &labels, &mask);
+        let h = step(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - h.loss).abs() < 0.05, "{} vs {}", f.loss, h.loss);
     }
 
@@ -367,10 +299,9 @@ mod tests {
         let mask = vec![true; n];
         let p = SageParams::new(4, 6, 2, 3);
         let mut ops = Ops::new(&dev);
-        let naive =
-            step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfNaive.into());
+        let naive = step(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfNaive.into());
         assert!(naive.loss.is_nan(), "SAGE naive-half should NaN, got {}", naive.loss);
-        let ours = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let ours = step(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!(ours.loss.is_finite());
     }
 

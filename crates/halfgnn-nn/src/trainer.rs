@@ -1,8 +1,11 @@
-//! Full-batch training loop: Adam over f32 master weights, per-epoch
-//! modeled time, NaN detection, and analytic memory accounting.
+//! The training driver: one epoch loop over a batch schedule (full batch
+//! is the one-batch schedule, mini-batch the sampled one), Adam over f32
+//! master weights, per-epoch modeled time and overflow/saturation
+//! provenance, NaN detection, and analytic memory accounting.
 
 use crate::adam::Adam;
 use crate::dist::DistCtx;
+use crate::elem::Elem;
 use crate::graphdata::GraphView;
 use crate::models::Dispatch;
 pub use crate::models::{ModelKind, PrecisionMode};
@@ -14,7 +17,6 @@ pub use halfgnn_exec::{CaptureRefused, ReplaySummary};
 use halfgnn_graph::datasets::LoadedDataset;
 pub use halfgnn_graph::partition::PartitionStrategy;
 use halfgnn_graph::{DeltaCsr, NeighborSampler, VertexId};
-use halfgnn_half::slice::{f32_slice_to_half, pad_feature_len};
 use halfgnn_half::Half;
 use halfgnn_half::{overflow, quant};
 use halfgnn_sim::interconnect::LinkStat;
@@ -295,9 +297,12 @@ impl TrainConfig {
     }
 
     /// The partition strategy the run actually trains with: the configured
-    /// strategy, with `--replication` folded into the 1.5D factor.
+    /// strategy, with `--replication` folded into the 1.5D factor — and
+    /// `Contiguous` at one shard, where no partition exists (so the tuner
+    /// keys a one-shard run identically whatever `--partition` says).
     pub fn effective_partition(&self) -> PartitionStrategy {
         match self.replication {
+            _ if self.shards == 1 => PartitionStrategy::Contiguous,
             Some(c) => self.partition.with_replication(c),
             None => self.partition,
         }
@@ -400,7 +405,7 @@ pub struct TrainReport {
 }
 
 /// What the neighbor sampler actually did during a mini-batch run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SamplingSummary {
     /// Batches per epoch (`⌈|train| / batch_size⌉`).
     pub batches_per_epoch: usize,
@@ -458,58 +463,174 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
     if let Err(e) = cfg.validate() {
         panic!("invalid config: {e}");
     }
-    if cfg.batch_size.is_some() {
-        return train_minibatch(dev, data, cfg);
-    }
     let dev = &dev.clone().with_exec(cfg.exec);
-    let g = GraphView::full(&data.adj);
-    let f_in = data.spec.feat;
-    let is_half = cfg.precision.is_half();
-    // Feature padding (§4.1.2): half paths pad odd class counts.
-    let classes = if is_half { pad_feature_len(data.spec.classes, 2) } else { data.spec.classes };
+    if cfg.precision.is_half() {
+        run::<Half>(dev, data, cfg)
+    } else {
+        run::<f32>(dev, data, cfg)
+    }
+}
 
-    let x = data.features.clone();
-    let xh = if is_half { f32_slice_to_half(&x) } else { Vec::new() };
-    let labels = &data.labels;
-    let train_mask = &data.split.train;
+/// Where an epoch's steps come from.
+enum Schedule {
+    /// The paper's full-batch setting: a one-batch schedule over the full
+    /// graph, whose tables are precomputed once.
+    Full(GraphView),
+    /// Neighbor-sampled mini-batches (`TrainConfig::batch_size`).
+    Sampled(Sampled),
+}
 
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut nan_epoch = None;
-    let mut epoch_time_us = 0.0;
-    let mut conversions = 0u64;
-    let mut converted = 0u64;
-    let mut kernels = 0usize;
-    let mut dram_bytes = 0u64;
-    let mut breakdown: Vec<(String, usize, f64, u64)> = Vec::new();
-    let mut last_logits: Vec<f32> = Vec::new();
-    let mut replay_epoch_time_us = 0.0;
+/// Mini-batch state (DESIGN.md §14). Each epoch shuffles the train set
+/// into seed batches with a deterministic schedule and samples every
+/// batch's k-hop receptive field through a [`DeltaCsr`] overlay, so
+/// `--stream-edges` ingests mid-run with no CSR rebuild.
+struct Sampled {
+    graph: DeltaCsr,
+    sampler: NeighborSampler,
+    train_ids: Vec<VertexId>,
+    batch_size: usize,
+    /// Epoch before which the stream is ingested: halfway, so both
+    /// regimes are exercised.
+    stream_epoch: Option<usize>,
+    counters_at_stream: Option<TunerCounters>,
+    /// Largest batch view (vertices, edges): the peak-memory shape.
+    max_view: (usize, usize),
+    /// Filled in as the run samples; the means hold epoch-0 sums until
+    /// [`Sampled::summary`] divides them.
+    summary: SamplingSummary,
+}
 
-    // Parameter storage + optimizer, per architecture.
-    let mut params = ModelParams::new(cfg.model, f_in, cfg.hidden, classes, cfg.seed);
-    let mut opt = Adam::new(params.num_params(), cfg.lr);
+/// One gathered batch: its subgraph and its feature, label and mask rows.
+struct SampledBatch<T> {
+    view: GraphView,
+    x: Vec<T>,
+    labels: Vec<u32>,
+    mask: Vec<bool>,
+}
 
-    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
-    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
+impl Sampled {
+    fn new(data: &LoadedDataset, cfg: &TrainConfig, batch_size: usize) -> Sampled {
+        let train = data.split.train.iter().enumerate();
+        let train_ids: Vec<VertexId> =
+            train.filter_map(|(v, &t)| t.then_some(v as VertexId)).collect();
+        assert!(!train_ids.is_empty(), "dataset has no training vertices");
+        Sampled {
+            graph: DeltaCsr::new(data.adj.clone()),
+            sampler: NeighborSampler::new(cfg.fanout, 2, cfg.seed),
+            train_ids,
+            batch_size,
+            stream_epoch: (cfg.stream_edges > 0).then_some(cfg.epochs / 2),
+            counters_at_stream: None,
+            max_view: (0, 0),
+            summary: SamplingSummary { fanout: cfg.fanout, ..SamplingSummary::default() },
+        }
+    }
+
+    /// Ingest the stream if it is due, then draw the epoch's seed batches.
+    fn epoch(
+        &mut self,
+        epoch: usize,
+        cfg: &TrainConfig,
+        tuner: Option<&Tuner>,
+    ) -> Vec<Vec<VertexId>> {
+        if self.stream_epoch == Some(epoch) {
+            self.summary.streamed_edges =
+                stream_random_edges(&mut self.graph, cfg.stream_edges, cfg.seed);
+            self.counters_at_stream = Some(tuner.map(Tuner::counters).unwrap_or_default());
+        }
+        let schedule = self.sampler.schedule(&self.train_ids, self.batch_size, epoch as u64);
+        self.summary.batches_per_epoch = schedule.len();
+        schedule
+    }
+
+    /// Sample a seed batch's receptive field and gather its rows: features
+    /// through a charged gather kernel, labels and the seed mask on the
+    /// host.
+    #[allow(clippy::too_many_arguments)]
+    fn batch<T: Elem>(
+        &mut self,
+        ops: &mut Ops,
+        data: &LoadedDataset,
+        x: &[T],
+        epoch: usize,
+        seeds: &[VertexId],
+        salt: u64,
+    ) -> SampledBatch<T> {
+        let sub = self.sampler.sample(&self.graph, seeds, salt);
+        let view = GraphView::batch(&sub);
+        let s = &mut self.summary;
+        s.max_batch_vertices = s.max_batch_vertices.max(sub.n());
+        s.max_batch_edges = s.max_batch_edges.max(sub.nnz());
+        self.max_view = (self.max_view.0.max(view.n()), self.max_view.1.max(view.nnz()));
+        if epoch == 0 {
+            s.mean_batch_vertices += sub.n() as f64;
+            s.mean_batch_edges += sub.nnz() as f64;
+        }
+        SampledBatch {
+            view,
+            x: T::gather_rows(ops, x, data.spec.feat, &sub.global_ids),
+            labels: sub.global_ids.iter().map(|&gid| data.labels[gid as usize]).collect(),
+            mask: (0..sub.n()).map(|i| i < sub.n_seeds).collect(),
+        }
+    }
+
+    /// The run's sampling summary. `post_stream_tuning` is the tuner's
+    /// activity since the stream was ingested: the delta's cache-hit
+    /// story, measured.
+    fn summary(&self, tuner: Option<&Tuner>) -> SamplingSummary {
+        let mut s = self.summary.clone();
+        let batches = s.batches_per_epoch.max(1) as f64;
+        s.mean_batch_vertices /= batches;
+        s.mean_batch_edges /= batches;
+        s.stream_epoch = self.stream_epoch.filter(|_| s.streamed_edges > 0);
+        s.post_stream_tuning = tuner.zip(self.counters_at_stream).map(|(t, at)| {
+            let end = t.counters();
+            TunerCounters {
+                hits: end.hits - at.hits,
+                misses: end.misses - at.misses,
+                evaluations: end.evaluations - at.evaluations,
+            }
+        });
+        s
+    }
+}
+
+/// The one epoch driver, with the state-tensor precision `T` chosen once
+/// for the run. Every epoch runs its schedule's batches through the same
+/// step, overflow/saturation windows and Adam update; full batch is the
+/// one-batch schedule over the precomputed full graph.
+fn run<T: Elem>(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> TrainReport {
+    // Feature padding (§4.1.2): half paths pad odd hidden and class widths.
+    let cfg = &TrainConfig { hidden: T::padded(cfg.hidden), ..cfg.clone() };
+    let classes = T::padded(data.spec.classes);
+    let x = T::features(&data.features);
+    let mut schedule = match cfg.batch_size {
+        None => Schedule::Full(GraphView::full(&data.adj)),
+        Some(b) => Schedule::Sampled(Sampled::new(data, cfg, b)),
+    };
+
+    let mut params = ModelParams::new(cfg.model, data.spec.feat, cfg.hidden, classes, cfg.seed);
+    let mut opt = Adam::new(params.flat().len(), cfg.lr);
 
     // One tuner for the whole run: plans are per (op, graph-shape, dtype)
-    // key, so epoch 0 pays any evaluation cost and later epochs hit the
-    // in-memory cache. The tuner always evaluates under `ExecMode::Sim`
-    // regardless of `cfg.exec` — plans are modeled-cycles argmins either
-    // way, and its oracle checks run inside `overflow::isolated` so they
-    // never pollute this run's per-epoch provenance windows.
+    // key, so the first batch of each shape pays any evaluation cost and
+    // later ones hit the in-memory cache. The tuner always evaluates
+    // under `ExecMode::Sim` regardless of `cfg.exec` — plans are
+    // modeled-cycles argmins either way, and its oracle checks run inside
+    // `overflow::isolated` so they never pollute this run's per-epoch
+    // provenance windows.
     let partition = cfg.effective_partition();
     let tuner = match &cfg.tuning {
         Tuning::Off => None,
-        Tuning::Auto => Some(Tuner::auto(dev).with_shards(cfg.shards).with_partition(partition)),
-        Tuning::Cached(path) => Some(
-            Tuner::cached(dev, path.as_str()).with_shards(cfg.shards).with_partition(partition),
-        ),
-    };
+        Tuning::Auto => Some(Tuner::auto(dev)),
+        Tuning::Cached(path) => Some(Tuner::cached(dev, path.as_str())),
+    }
+    .map(|t| t.with_shards(cfg.shards).with_partition(partition));
     // Sharded execution context: partition Â (the graph the kernels run
     // on) and meter every halo exchange / all-reduce against the chosen
     // interconnect. `shards == 1` keeps the single-device dispatch path.
     let dist = (cfg.shards > 1).then(|| {
-        let ctx = DistCtx::new(&g.csr, cfg.shards, partition, cfg.topology);
+        let ctx = DistCtx::new(&data.adj, cfg.shards, partition, cfg.topology);
         match cfg.i8_block {
             Some(b) => ctx.with_i8_bucket(b),
             None => ctx,
@@ -527,9 +648,21 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
     .with_dist(dist.as_ref())
     .with_exec(exec_ctx.as_ref());
 
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
+    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
+    let mut nan_epoch = None;
+    let mut epoch_time_us = 0.0;
+    let mut replay_epoch_time_us = 0.0;
+    let mut conversions = 0u64;
+    let mut converted = 0u64;
+    let mut kernels = 0usize;
+    let mut epoch0_log: Vec<halfgnn_sim::KernelStats> = Vec::new();
+    let mut last_logits: Vec<f32> = Vec::new();
     let mut comms = halfgnn_sim::interconnect::CommsLedger::new();
     let mut comms_serialized_us = 0.0;
     let mut comms_overlapped_us = 0.0;
+
     for epoch in 0..cfg.epochs {
         if let Some(ctx) = &dist {
             ctx.reset_epoch();
@@ -537,74 +670,111 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
         if let Some(ctx) = &exec_ctx {
             ctx.begin_epoch();
         }
-        let mut ops = Ops::new(dev).with_exec(exec_ctx.as_ref());
-        ops.loss_scale = cfg.loss_scale;
-        // Track every f32→half conversion of this epoch's step; the first
-        // non-finite one is recorded with its layer/kernel site path. The
-        // quant window does the same for INT8 saturation.
-        overflow::begin();
-        quant::begin();
-        // Re-key INT8 stochastic rounding per epoch: errors decorrelate
-        // across steps, yet the whole run is a pure function of the seed.
-        let (loss, correct, grad_flat, logits) = run_step(
-            &params,
-            &mut ops,
-            &g,
-            &x,
-            &xh,
-            labels,
-            train_mask,
-            dispatch.with_quant_seed(cfg.seed ^ epoch as u64),
-            cfg,
-        );
+        let batches = match &mut schedule {
+            Schedule::Full(_) => vec![Vec::new()],
+            Schedule::Sampled(s) => s.epoch(epoch, cfg, tuner.as_ref()),
+        };
+        let mut epoch_loss = 0.0f64;
+        let mut epoch_seeds = 0usize;
+        let mut epoch_us = 0.0;
+        let mut ofw = overflow::Summary::default();
+        let mut satw = quant::SatSummary::default();
+        // Batch of the epoch's first flagged event, for the log line.
+        let mut first_at = (None, None);
 
-        let satw = quant::take();
-        if let Some(ev) = &satw.first {
+        for (b, seeds) in batches.iter().enumerate() {
+            let mut ops = Ops::new(dev).with_exec(exec_ctx.as_ref());
+            ops.loss_scale = cfg.loss_scale;
+            let sampled;
+            // INT8 stochastic rounding is re-keyed per step: errors
+            // decorrelate across steps, yet the whole run is a pure
+            // function of the seed.
+            let (g, xb, labels, mask, salt) = match &mut schedule {
+                Schedule::Full(g) => {
+                    (&*g, &x[..], &data.labels[..], &data.split.train[..], epoch as u64)
+                }
+                Schedule::Sampled(s) => {
+                    let salt = ((epoch as u64) << 32) | b as u64;
+                    sampled = s.batch(&mut ops, data, &x, epoch, seeds, salt);
+                    (&sampled.view, &sampled.x[..], &sampled.labels[..], &sampled.mask[..], salt)
+                }
+            };
+
+            // Track every f32→half conversion of the step; the first
+            // non-finite one is recorded with its layer/kernel site path.
+            // The quant window does the same for INT8 saturation.
+            overflow::begin();
+            quant::begin();
+            let (loss, grad_flat, logits) = params.step(
+                &mut ops,
+                g,
+                xb,
+                labels,
+                mask,
+                dispatch.with_quant_seed(cfg.seed ^ salt),
+                cfg,
+            );
+            let (s, o) = (quant::take(), overflow::take());
+            first_at.0 = first_at.0.or(s.first.is_some().then_some(b));
+            first_at.1 = first_at.1.or(o.first.is_some().then_some(b));
+            satw.absorb(s);
+            ofw.absorb(o);
+
+            if loss.is_nan() && nan_epoch.is_none() {
+                nan_epoch = Some(epoch);
+            }
+            epoch_loss += loss as f64 * seeds.len() as f64;
+            epoch_seeds += seeds.len();
+            epoch_us += ops.total_time_us();
+            if epoch == 0 {
+                // Kernel sequences are value-independent, so one epoch's
+                // modeled time represents them all.
+                conversions += ops.tensor_conversions;
+                converted += ops.converted_elems;
+                kernels += ops.kernel_count();
+                epoch0_log.append(&mut ops.log);
+            }
+            last_logits = logits;
+            // Master update in f32 (NaN gradients propagate, as in real DGL).
+            params.adam_step(&mut opt, &grad_flat);
+            if matches!(schedule, Schedule::Full(_)) {
+                losses.push(loss);
+            }
+        }
+        if matches!(schedule, Schedule::Sampled(_)) {
+            losses.push((epoch_loss / epoch_seeds.max(1) as f64) as f32);
+        }
+
+        // Log only the run's first event of each kind: later epochs mostly
+        // repeat the same site once the parameters are poisoned.
+        let at = |b: Option<usize>| match (&schedule, b) {
+            (Schedule::Sampled(_), Some(b)) => format!(" batch {b}"),
+            _ => String::new(),
+        };
+        let head = format!("[halfgnn-nn] {:?}/{:?}: epoch {epoch}", cfg.model, cfg.precision);
+        if let Some(ev) = satw.first.as_ref() {
             if saturation_per_epoch.iter().all(quant::SatSummary::is_clean) {
+                let (n, of) = (satw.flagged(), satw.quantized);
+                let at = at(first_at.0);
                 eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch}: first INT8 saturation: {ev} \
-                     ({} flagged of {} quantizations this epoch)",
-                    cfg.model,
-                    cfg.precision,
-                    satw.flagged(),
-                    satw.quantized
+                    "{head}{at}: first INT8 saturation: {ev} ({n} flagged of {of} quantizations this epoch)"
+                );
+            }
+        }
+        if let Some(ev) = ofw.first.as_ref() {
+            if overflow_per_epoch.iter().all(overflow::Summary::is_clean) {
+                let (n, of) = (ofw.nonfinite(), ofw.conversions);
+                let at = at(first_at.1);
+                eprintln!(
+                    "{head}{at}: first non-finite conversion: {ev} ({n} non-finite of {of} conversions this epoch)"
                 );
             }
         }
         saturation_per_epoch.push(satw);
-        let ofw = overflow::take();
-        if let Some(ev) = &ofw.first {
-            // Log only the run's first overflow: later epochs mostly repeat
-            // the same site once the parameters are poisoned.
-            if overflow_per_epoch.iter().all(overflow::Summary::is_clean) {
-                eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch}: first non-finite conversion: {ev} \
-                     ({} non-finite of {} conversions this epoch)",
-                    cfg.model,
-                    cfg.precision,
-                    ofw.nonfinite(),
-                    ofw.conversions
-                );
-            }
-        }
         overflow_per_epoch.push(ofw);
 
-        if loss.is_nan() && nan_epoch.is_none() {
-            nan_epoch = Some(epoch);
-        }
-        losses.push(loss);
-        let _ = correct;
-        last_logits = logits;
-
         if epoch == 0 {
-            // Kernel sequences are value-independent, so one epoch's
-            // modeled time represents them all.
-            epoch_time_us = ops.total_time_us();
-            conversions = ops.tensor_conversions;
-            converted = ops.converted_elems;
-            kernels = ops.kernel_count();
-            dram_bytes = ops.log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum();
-            breakdown = kernel_breakdown(&ops.log);
+            epoch_time_us = epoch_us;
             if let Some(ctx) = &dist {
                 comms = ctx.snapshot();
                 // Epoch 0 is the cold-cache epoch: its event streams carry
@@ -624,18 +794,34 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
                 // stream — anything else is a silent divergence.
                 ctx.end_epoch();
                 if epoch == 1 {
-                    replay_epoch_time_us = ops.total_time_us();
+                    replay_epoch_time_us = epoch_us;
                 }
             }
         }
-
-        // Master update in f32 (NaN gradients propagate, as in real DGL).
-        params.adam_step(&mut opt, &grad_flat);
     }
 
-    let final_train_accuracy = Ops::accuracy(&last_logits, labels, train_mask, classes);
-    let test_accuracy = Ops::accuracy(&last_logits, labels, &data.split.test, classes);
-    save_snapshot(cfg, f_in, classes, &params);
+    // Accuracy: full batch reads the last step's logits; mini-batch runs
+    // one full-graph forward with the trained weights, against the
+    // streamed graph if edges were ingested (the one place the overlay
+    // materializes), so it is directly comparable to a full-batch run.
+    let (peak, sampling) = match &schedule {
+        Schedule::Full(_) => (model_memory(data, cfg, classes), None),
+        Schedule::Sampled(s) => {
+            let summary = s.summary(tuner.as_ref());
+            let g_full = match summary.streamed_edges {
+                0 => GraphView::full(&data.adj),
+                _ => GraphView::full(&s.graph.merge()),
+            };
+            let d = Dispatch::untuned(cfg.precision).with_fusion(cfg.fusion);
+            last_logits = params.forward(&mut Ops::new(dev), &g_full, &x, d, cfg);
+            let (n, e) = s.max_view;
+            (model_memory_minibatch(data, cfg, classes, n, e), Some(summary))
+        }
+    };
+    let final_train_accuracy =
+        Ops::accuracy(&last_logits, &data.labels, &data.split.train, classes);
+    let test_accuracy = Ops::accuracy(&last_logits, &data.labels, &data.split.test, classes);
+    save_snapshot(cfg, data.spec.feat, classes, &params);
     // Last epoch's counters = the steady state: with static input
     // features every post-warmup epoch serves its halo from the cache.
     let halo_cache = dist.as_ref().map(DistCtx::halo_cache_stats).unwrap_or_default();
@@ -646,12 +832,12 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
         test_accuracy,
         nan_epoch,
         epoch_time_us,
-        peak_memory_bytes: model_memory(data, cfg, classes).peak(),
+        peak_memory_bytes: peak.peak(),
         conversions_per_epoch: conversions,
         converted_elems_per_epoch: converted,
         kernels_per_epoch: kernels,
-        dram_bytes_per_epoch: dram_bytes,
-        kernel_breakdown: breakdown,
+        dram_bytes_per_epoch: epoch0_log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum(),
+        kernel_breakdown: kernel_breakdown(&epoch0_log),
         overflow_per_epoch,
         saturation_per_epoch,
         tuning_counters: tuner.as_ref().map(Tuner::counters),
@@ -674,14 +860,15 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
             s
         }),
         replay_epoch_time_us,
-        sampling: None,
+        sampling,
     }
 }
 
-/// Parameter storage per architecture — shared by the full-batch and
-/// mini-batch loops so both drive the exact same models and optimizer.
+/// Parameter storage per architecture, shared by every schedule so all
+/// drive the exact same models and optimizer.
 enum ModelParams {
-    Two(TwoLayerParams),
+    Gcn(TwoLayerParams),
+    Gin(TwoLayerParams),
     Gat(GatParams),
     Sage(SageParams),
 }
@@ -689,26 +876,17 @@ enum ModelParams {
 impl ModelParams {
     fn new(model: ModelKind, f_in: usize, hidden: usize, classes: usize, seed: u64) -> ModelParams {
         match model {
-            ModelKind::Gcn | ModelKind::Gin => {
-                ModelParams::Two(TwoLayerParams::new(f_in, hidden, classes, seed))
-            }
+            ModelKind::Gcn => ModelParams::Gcn(TwoLayerParams::new(f_in, hidden, classes, seed)),
+            ModelKind::Gin => ModelParams::Gin(TwoLayerParams::new(f_in, hidden, classes, seed)),
             ModelKind::Gat => ModelParams::Gat(GatParams::new(f_in, hidden, classes, seed)),
             ModelKind::Sage => ModelParams::Sage(SageParams::new(f_in, hidden, classes, seed)),
         }
     }
 
-    fn num_params(&self) -> usize {
-        match self {
-            ModelParams::Two(p) => p.num_params(),
-            ModelParams::Gat(p) => p.num_params(),
-            ModelParams::Sage(p) => p.num_params(),
-        }
-    }
-
-    /// Flattened f32 master weights (the snapshot payload).
+    /// Flattened f32 master weights (the optimizer's and snapshot's view).
     fn flat(&self) -> Vec<f32> {
         match self {
-            ModelParams::Two(p) => p.flat(),
+            ModelParams::Gcn(p) | ModelParams::Gin(p) => p.flat(),
             ModelParams::Gat(p) => p.flat(),
             ModelParams::Sage(p) => p.flat(),
         }
@@ -716,309 +894,64 @@ impl ModelParams {
 
     /// Adam update of the flattened master weights.
     fn adam_step(&mut self, opt: &mut Adam, grad_flat: &[f32]) {
+        let mut flat = self.flat();
+        opt.step(&mut flat, grad_flat);
         match self {
-            ModelParams::Two(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+            ModelParams::Gcn(p) | ModelParams::Gin(p) => p.set_flat(&flat),
+            ModelParams::Gat(p) => p.set_flat(&flat),
+            ModelParams::Sage(p) => p.set_flat(&flat),
+        }
+    }
+
+    /// One forward+backward step of the model on `g` — the full graph or
+    /// one batch subgraph; the models don't care, which is the point of
+    /// [`GraphView`]. Returns `(loss, flat gradients, logits)`.
+    #[allow(clippy::too_many_arguments)]
+    fn step<T: Elem>(
+        &self,
+        ops: &mut Ops,
+        g: &GraphView,
+        x: &[T],
+        labels: &[u32],
+        mask: &[bool],
+        d: Dispatch,
+        cfg: &TrainConfig,
+    ) -> (f32, Vec<f32>, Vec<f32>) {
+        match self {
+            ModelParams::Gcn(p) => {
+                let o = gcn::step(ops, g, p, x, labels, mask, d, cfg.gcn_norm);
+                (o.loss, o.grads.flat(), o.logits)
+            }
+            ModelParams::Gin(p) => {
+                let o = gin::step(ops, g, p, x, labels, mask, d, cfg.gin_lambda);
+                (o.loss, o.grads.flat(), o.logits)
             }
             ModelParams::Gat(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+                let o = gat::step(ops, g, p, x, labels, mask, d);
+                (o.loss, o.grads.flat(), o.logits)
             }
             ModelParams::Sage(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+                let o = sage::step(ops, g, p, x, labels, mask, d);
+                (o.loss, o.grads.flat(), o.logits)
             }
         }
     }
-}
 
-/// One forward+backward step of the configured model on `g` — the full
-/// graph or one batch subgraph; the step functions don't care, which is
-/// the point of [`GraphView`]. Returns `(loss, correct, grad_flat, logits)`.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    params: &ModelParams,
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    xh: &[Half],
-    labels: &[u32],
-    mask: &[bool],
-    dispatch: Dispatch,
-    cfg: &TrainConfig,
-) -> (f32, usize, Vec<f32>, Vec<f32>) {
-    let is_half = cfg.precision.is_half();
-    match (params, cfg.model) {
-        (ModelParams::Two(p), ModelKind::Gcn) => {
-            let out = if is_half {
-                gcn::step_half_norm(ops, g, p, xh, labels, mask, dispatch, cfg.gcn_norm)
-            } else {
-                gcn::step_f32_norm(ops, g, p, x, labels, mask, dispatch, cfg.gcn_norm)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
+    /// Forward-only logits of the model on `g`.
+    fn forward<T: Elem>(
+        &self,
+        ops: &mut Ops,
+        g: &GraphView,
+        x: &[T],
+        d: Dispatch,
+        cfg: &TrainConfig,
+    ) -> Vec<f32> {
+        match self {
+            ModelParams::Gcn(p) => gcn::forward(ops, g, p, x, d, cfg.gcn_norm).logits,
+            ModelParams::Gin(p) => gin::forward(ops, g, p, x, d, cfg.gin_lambda).logits,
+            ModelParams::Gat(p) => gat::forward(ops, g, p, x, d).logits,
+            ModelParams::Sage(p) => sage::forward(ops, g, p, x, d).logits,
         }
-        (ModelParams::Two(p), ModelKind::Gin) => {
-            let out = if is_half {
-                gin::step_half_lambda(ops, g, p, xh, labels, mask, dispatch, cfg.gin_lambda)
-            } else {
-                gin::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        (ModelParams::Gat(p), _) => {
-            let out = if is_half {
-                gat::step_half(ops, g, p, xh, labels, mask, dispatch)
-            } else {
-                gat::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        (ModelParams::Sage(p), _) => {
-            let out = if is_half {
-                sage::step_half(ops, g, p, xh, labels, mask, dispatch)
-            } else {
-                sage::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        _ => unreachable!("parameter kind matches model kind"),
-    }
-}
-
-/// Neighbor-sampled mini-batch training (`TrainConfig::batch_size`,
-/// DESIGN.md §14). Each epoch shuffles the train set into seed batches
-/// with a deterministic schedule, samples every batch's k-hop receptive
-/// field through a [`DeltaCsr`] overlay (so `--stream-edges` ingests
-/// mid-run with no CSR rebuild), gathers the batch's feature and label
-/// rows, and steps the same models the full-batch loop drives — just on
-/// a batch-local [`GraphView`]. Final accuracies come from one
-/// full-graph forward with the trained weights, so they are directly
-/// comparable to a full-batch run's.
-fn train_minibatch(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> TrainReport {
-    let batch_size = cfg.batch_size.expect("mini-batch path needs a batch size");
-    let dev = &dev.clone().with_exec(cfg.exec);
-    let f_in = data.spec.feat;
-    let is_half = cfg.precision.is_half();
-    let classes = if is_half { pad_feature_len(data.spec.classes, 2) } else { data.spec.classes };
-
-    let x = data.features.clone();
-    let xh = if is_half { f32_slice_to_half(&x) } else { Vec::new() };
-    let labels = &data.labels;
-
-    // The training graph lives behind a delta overlay: streamed edges
-    // ingest in O(log deg) each, and the sampler reads straight through
-    // the overlay — the base CSR is never rebuilt mid-training.
-    let mut graph = DeltaCsr::new(data.adj.clone());
-    let sampler = NeighborSampler::new(cfg.fanout, 2, cfg.seed);
-    let train_ids: Vec<VertexId> = data
-        .split
-        .train
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &t)| t.then_some(v as VertexId))
-        .collect();
-    assert!(!train_ids.is_empty(), "dataset has no training vertices");
-
-    let mut params = ModelParams::new(cfg.model, f_in, cfg.hidden, classes, cfg.seed);
-    let mut opt = Adam::new(params.num_params(), cfg.lr);
-    let tuner = match &cfg.tuning {
-        Tuning::Off => None,
-        Tuning::Auto => Some(Tuner::auto(dev)),
-        Tuning::Cached(path) => Some(Tuner::cached(dev, path.as_str())),
-    };
-    let dispatch = match &tuner {
-        Some(t) => Dispatch::tuned(cfg.precision, t),
-        None => Dispatch::untuned(cfg.precision),
-    }
-    .with_fusion(cfg.fusion);
-
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
-    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
-    let mut nan_epoch = None;
-    let mut logged_overflow = false;
-    let mut epoch_time_us = 0.0;
-    let mut conversions = 0u64;
-    let mut converted = 0u64;
-    let mut kernels = 0usize;
-    let mut epoch0_log: Vec<halfgnn_sim::KernelStats> = Vec::new();
-
-    // Sampling telemetry (epoch-0 means, run-wide maxima).
-    let mut batches_per_epoch = 0usize;
-    let mut ep0_vertices = 0usize;
-    let mut ep0_edges = 0usize;
-    let mut max_batch_vertices = 0usize;
-    let mut max_batch_edges = 0usize;
-    let mut max_view = (0usize, 0usize);
-
-    // Streaming: ingest halfway through so both regimes are exercised.
-    let stream_epoch = (cfg.stream_edges > 0).then_some(cfg.epochs / 2);
-    let mut streamed_edges = 0usize;
-    let mut counters_at_stream: Option<TunerCounters> = None;
-
-    for epoch in 0..cfg.epochs {
-        if stream_epoch == Some(epoch) {
-            streamed_edges = stream_random_edges(&mut graph, cfg.stream_edges, cfg.seed);
-            counters_at_stream = Some(tuner.as_ref().map(Tuner::counters).unwrap_or_default());
-        }
-        let schedule = sampler.schedule(&train_ids, batch_size, epoch as u64);
-        batches_per_epoch = schedule.len();
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_seeds = 0usize;
-        let mut epoch_ofw = overflow::Summary::default();
-        let mut epoch_sat = quant::SatSummary::default();
-
-        for (b, seeds) in schedule.iter().enumerate() {
-            let salt = ((epoch as u64) << 32) | b as u64;
-            let sub = sampler.sample(&graph, seeds, salt);
-            let view = GraphView::batch(&sub, epoch, b);
-            max_batch_vertices = max_batch_vertices.max(sub.n());
-            max_batch_edges = max_batch_edges.max(sub.nnz());
-            max_view = (max_view.0.max(view.n()), max_view.1.max(view.nnz()));
-            if epoch == 0 {
-                ep0_vertices += sub.n();
-                ep0_edges += sub.nnz();
-            }
-
-            let mut ops = Ops::new(dev);
-            ops.loss_scale = cfg.loss_scale;
-            // Batch feature rows come out of the global matrix through a
-            // charged gather kernel; label/mask rows are host-side views.
-            let (xb, xbh) = if is_half {
-                (Vec::new(), ops.gather_rows_half(&xh, f_in, &sub.global_ids))
-            } else {
-                (ops.gather_rows_f32(&x, f_in, &sub.global_ids), Vec::new())
-            };
-            let labels_b: Vec<u32> =
-                sub.global_ids.iter().map(|&gid| labels[gid as usize]).collect();
-            let mask_b: Vec<bool> = (0..sub.n()).map(|i| i < sub.n_seeds).collect();
-
-            overflow::begin();
-            quant::begin();
-            let (loss, _correct, grad_flat, _logits) = run_step(
-                &params,
-                &mut ops,
-                &view,
-                &xb,
-                &xbh,
-                &labels_b,
-                &mask_b,
-                dispatch.with_quant_seed(cfg.seed ^ salt),
-                cfg,
-            );
-            merge_saturation(&mut epoch_sat, quant::take());
-            let ofw = overflow::take();
-            if let Some(ev) = ofw.first.as_ref().filter(|_| !logged_overflow) {
-                // Batch-level provenance: which batch of which epoch the
-                // run's first non-finite conversion happened in.
-                eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch} batch {b}: first non-finite \
-                     conversion: {ev}",
-                    cfg.model, cfg.precision
-                );
-                logged_overflow = true;
-            }
-            merge_overflow(&mut epoch_ofw, ofw);
-
-            if loss.is_nan() && nan_epoch.is_none() {
-                nan_epoch = Some(epoch);
-            }
-            epoch_loss += loss as f64 * seeds.len() as f64;
-            epoch_seeds += seeds.len();
-            params.adam_step(&mut opt, &grad_flat);
-
-            if epoch == 0 {
-                epoch_time_us += ops.total_time_us();
-                conversions += ops.tensor_conversions;
-                converted += ops.converted_elems;
-                kernels += ops.kernel_count();
-                epoch0_log.extend(ops.log.iter().cloned());
-            }
-        }
-        losses.push((epoch_loss / epoch_seeds.max(1) as f64) as f32);
-        overflow_per_epoch.push(epoch_ofw);
-        saturation_per_epoch.push(epoch_sat);
-    }
-
-    // Post-stream tuner activity: the delta's cache-hit story, measured
-    // before the final full-graph evaluation adds unrelated keys.
-    let post_stream_tuning = match (&tuner, counters_at_stream) {
-        (Some(t), Some(at)) => {
-            let end = t.counters();
-            Some(TunerCounters {
-                hits: end.hits - at.hits,
-                misses: end.misses - at.misses,
-                evaluations: end.evaluations - at.evaluations,
-            })
-        }
-        _ => None,
-    };
-
-    // Final metrics: one full-graph forward with the trained weights,
-    // against the streamed graph if edges were ingested. This is the one
-    // place the overlay materializes — after training, for evaluation.
-    let eval_adj = if streamed_edges > 0 { graph.merge() } else { data.adj.clone() };
-    let g_full = GraphView::full(&eval_adj);
-    let mut eval_ops = Ops::new(dev);
-    eval_ops.loss_scale = cfg.loss_scale;
-    let (_, _, _, logits) = run_step(
-        &params,
-        &mut eval_ops,
-        &g_full,
-        &x,
-        &xh,
-        labels,
-        &data.split.train,
-        Dispatch::untuned(cfg.precision).with_fusion(cfg.fusion),
-        cfg,
-    );
-    let final_train_accuracy = Ops::accuracy(&logits, labels, &data.split.train, classes);
-    let test_accuracy = Ops::accuracy(&logits, labels, &data.split.test, classes);
-    save_snapshot(cfg, f_in, classes, &params);
-
-    TrainReport {
-        losses,
-        final_train_accuracy,
-        test_accuracy,
-        nan_epoch,
-        epoch_time_us,
-        peak_memory_bytes: model_memory_minibatch(data, cfg, classes, max_view.0, max_view.1)
-            .peak(),
-        conversions_per_epoch: conversions,
-        converted_elems_per_epoch: converted,
-        kernels_per_epoch: kernels,
-        dram_bytes_per_epoch: epoch0_log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum(),
-        kernel_breakdown: kernel_breakdown(&epoch0_log),
-        overflow_per_epoch,
-        saturation_per_epoch,
-        tuning_counters: tuner.as_ref().map(Tuner::counters),
-        comms_bytes_per_epoch: 0,
-        comms_halo_bytes_per_epoch: 0,
-        comms_allreduce_bytes_per_epoch: 0,
-        comms_time_us_per_epoch: 0.0,
-        link_breakdown: Vec::new(),
-        comms_serialized_us: 0.0,
-        comms_overlapped_us: 0.0,
-        halo_cache_hits: 0,
-        halo_cache_misses: 0,
-        halo_cache_bytes_saved: 0,
-        replay: None,
-        replay_epoch_time_us: 0.0,
-        sampling: Some(SamplingSummary {
-            batches_per_epoch,
-            mean_batch_vertices: ep0_vertices as f64 / batches_per_epoch.max(1) as f64,
-            mean_batch_edges: ep0_edges as f64 / batches_per_epoch.max(1) as f64,
-            max_batch_vertices,
-            max_batch_edges,
-            fanout: cfg.fanout,
-            streamed_edges,
-            stream_epoch: (streamed_edges > 0).then(|| stream_epoch.unwrap()),
-            post_stream_tuning,
-        }),
     }
 }
 
@@ -1068,28 +1001,6 @@ fn stream_random_edges(graph: &mut DeltaCsr, count: usize, seed: u64) -> usize {
         }
     }
     inserted
-}
-
-/// Merge one batch's overflow window into the epoch summary, keeping the
-/// epoch's first event. (`overflow::Summary` lives in `halfgnn-half`,
-/// which this refactor leaves untouched — hence a free function.)
-fn merge_saturation(acc: &mut quant::SatSummary, s: quant::SatSummary) {
-    acc.quantized += s.quantized;
-    acc.saturated += s.saturated;
-    acc.nonfinite_inputs += s.nonfinite_inputs;
-    if acc.first.is_none() {
-        acc.first = s.first;
-    }
-}
-
-fn merge_overflow(acc: &mut overflow::Summary, s: overflow::Summary) {
-    acc.conversions += s.conversions;
-    acc.overflows += s.overflows;
-    acc.inf_propagated += s.inf_propagated;
-    acc.nan_propagated += s.nan_propagated;
-    if acc.first.is_none() {
-        acc.first = s.first;
-    }
 }
 
 /// Aggregate an epoch's kernel log by kernel name, sorted by total time.
@@ -1612,6 +1523,33 @@ mod tests {
         let replay = train(&data, &TrainConfig { replay: true, ..base });
         assert_eq!(bits(&eager.losses), bits(&replay.losses), "1.5D replay diverged");
         assert!(replay.replay.is_some());
+    }
+
+    #[test]
+    fn odd_hidden_width_is_padded_for_half_and_recorded() {
+        // Half paths pad hidden like classes: a hidden-7 run is the
+        // hidden-8 run, and the memory model and snapshot say 8.
+        let data = Dataset::cora().load(42);
+        let path = std::env::temp_dir().join("halfgnn-nn-odd-hidden.snapshot");
+        let snapshot_path = Some(path.to_string_lossy().into_owned());
+        let base = quick_cfg(ModelKind::Gcn, PrecisionMode::HalfGnn, 2);
+        let odd = train(&data, &TrainConfig { hidden: 7, snapshot_path, ..base.clone() });
+        let even = train(&data, &TrainConfig { hidden: 8, ..base });
+        assert_eq!(bits(&odd.losses), bits(&even.losses));
+        assert_eq!(odd.peak_memory_bytes, even.peak_memory_bytes);
+        let snap = crate::snapshot::ModelSnapshot::load(&path).expect("snapshot written");
+        assert_eq!(snap.hidden, 8);
+        std::fs::remove_file(&path).ok();
+        // Float keeps the configured width.
+        let f7 = train(
+            &data,
+            &TrainConfig { hidden: 7, ..quick_cfg(ModelKind::Gcn, PrecisionMode::Float, 1) },
+        );
+        let f8 = train(
+            &data,
+            &TrainConfig { hidden: 8, ..quick_cfg(ModelKind::Gcn, PrecisionMode::Float, 1) },
+        );
+        assert_ne!(f7.peak_memory_bytes, f8.peak_memory_bytes);
     }
 
     #[test]

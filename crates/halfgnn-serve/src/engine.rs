@@ -17,9 +17,9 @@ use crate::config::{ServeConfig, ServeConfigError};
 use halfgnn_exec::{ExecCtx, ReplaySummary};
 use halfgnn_graph::reach::khop_ball;
 use halfgnn_graph::{partition, Csr, DeltaCsr, ShardPlan, VertexId};
-use halfgnn_half::slice::f32_slice_to_half;
 use halfgnn_half::Half;
-use halfgnn_nn::forward::{gcn_forward_f32, gcn_forward_half};
+use halfgnn_nn::elem::Elem;
+use halfgnn_nn::gcn;
 use halfgnn_nn::graphdata::GraphView;
 use halfgnn_nn::models::{Dispatch, GcnNorm};
 use halfgnn_nn::params::TwoLayerParams;
@@ -79,14 +79,34 @@ struct CaptureState {
     ctx: ExecCtx,
 }
 
+/// The per-vertex feature table, stored once in the serving precision.
+enum Features {
+    F32(Vec<f32>),
+    Half(Vec<Half>),
+}
+
+/// Gather a batch's feature rows and run the GCN training forward on
+/// its induced subgraph.
+fn gcn_logits<T: Elem>(
+    ops: &mut Ops,
+    g: &GraphView,
+    params: &TwoLayerParams,
+    x: &[T],
+    f_in: usize,
+    ball: &[VertexId],
+    d: Dispatch<'_>,
+) -> Vec<f32> {
+    let xs = T::gather_rows(ops, x, f_in, ball);
+    gcn::forward(ops, g, params, &xs, d, GcnNorm::Right).logits
+}
+
 /// A forward-only inference engine over one trained model and one
 /// (mutable, delta-overlaid) serving graph.
 pub struct ServeEngine<'d> {
     dev: &'d DeviceConfig,
     cfg: ServeConfig,
     graph: DeltaCsr,
-    x: Vec<f32>,
-    xh: Vec<Half>,
+    features: Features,
     f_in: usize,
     params: TwoLayerParams,
     cache: EmbeddingCache,
@@ -121,7 +141,6 @@ impl<'d> ServeEngine<'d> {
         {
             return Err(ServeConfigError::OddWidthForHalf);
         }
-        let xh = if is_half { f32_slice_to_half(features) } else { Vec::new() };
         let cache = EmbeddingCache::new(cfg.cache_bytes, params.classes, cfg.cache_precision);
         let (plan, ic) = if cfg.shards > 1 {
             (
@@ -136,8 +155,11 @@ impl<'d> ServeEngine<'d> {
             dev,
             cfg,
             graph: DeltaCsr::new(adj.clone()),
-            x: features.to_vec(),
-            xh,
+            features: if is_half {
+                Features::Half(Half::features(features))
+            } else {
+                Features::F32(f32::features(features))
+            },
             f_in,
             params,
             cache,
@@ -217,74 +239,58 @@ impl<'d> ServeEngine<'d> {
         ServedBatch { outputs, fetch_us, kernel_us, batch_vertices: batch.n(), replayed }
     }
 
-    /// The batched forward: gather the ball's feature rows, run the
-    /// forward-only GCN on the induced subgraph. Handles steady-state
-    /// capture/replay when the config asks for it.
+    /// The batched forward ([`ServeEngine::run_forward`]) with
+    /// steady-state capture/replay when the config asks for it: capture
+    /// the first batch; replay any later batch whose (n, nnz) matches the
+    /// captured shape — an identical subgraph shape yields an identical
+    /// kernel sequence. Other shapes fall back to eager execution.
     fn forward_batch(&mut self, batch: &Batch) -> (Vec<f32>, f64, bool) {
-        // Capture/replay bookkeeping. Capture the first batch; replay any
-        // later batch whose (n, nnz) matches the captured shape — an
-        // identical subgraph shape yields an identical kernel sequence.
-        // Other shapes fall back to eager execution.
-        enum Mode {
-            Eager,
-            Capture,
-            Replay,
+        let (n, nnz) = (batch.n(), batch.nnz());
+        if self.cfg.replay && self.capture.is_none() {
+            self.capture = Some(CaptureState { n, nnz, ctx: ExecCtx::capturing() });
         }
-        let mode = if !self.cfg.replay {
-            Mode::Eager
-        } else {
-            match &self.capture {
-                None => Mode::Capture,
-                Some(cs) if (cs.n, cs.nnz) == (batch.n(), batch.nnz()) => Mode::Replay,
-                Some(_) => Mode::Eager,
-            }
-        };
-        if matches!(mode, Mode::Capture) {
-            self.capture =
-                Some(CaptureState { n: batch.n(), nnz: batch.nnz(), ctx: ExecCtx::capturing() });
-        }
-        let exec = match mode {
-            Mode::Eager => None,
-            Mode::Capture | Mode::Replay => self.capture.as_ref().map(|cs| &cs.ctx),
-        };
+        let exec = self.capture.as_ref().filter(|cs| (cs.n, cs.nnz) == (n, nnz)).map(|cs| &cs.ctx);
         if let Some(ctx) = exec {
             ctx.begin_epoch();
         }
+        let (logits, kernel_us) = self.run_forward(batch, exec);
+        let replayed = match exec {
+            Some(ctx) if ctx.is_replaying() => {
+                ctx.end_epoch();
+                true
+            }
+            Some(ctx) => {
+                ctx.seal();
+                false
+            }
+            None => false,
+        };
+        (logits, kernel_us, replayed)
+    }
 
+    /// The one compute path of serving: gather the ball's feature rows
+    /// and run GCN's training forward on the induced subgraph under `exec`.
+    /// Returns the logits and the modeled kernel time.
+    fn run_forward(&self, batch: &Batch, exec: Option<&ExecCtx>) -> (Vec<f32>, f64) {
         let g = GraphView::full(&batch.csr);
         // Vertex-parallel SpMM is what makes coalescing bitwise-invisible:
         // its neighbor groups never cross rows, so a row's summation order
         // is batch-composition-independent. The edge-tiled skeletons cut
         // rows at global-edge-offset tile boundaries and would drift by
         // ULPs as the batch around a request changes.
-        let dispatch = match &self.tuner {
+        let d = match &self.tuner {
             Some(t) => Dispatch::tuned(self.cfg.precision, t),
             None => Dispatch::untuned(self.cfg.precision),
         }
         .with_vertex_parallel_spmm(true)
         .with_exec(exec);
         let mut ops = Ops::new(self.dev).with_exec(exec);
-        let logits = if self.cfg.precision.is_half() {
-            let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);
-            gcn_forward_half(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
-        } else {
-            let xs = ops.gather_rows_f32(&self.x, self.f_in, &batch.ball);
-            gcn_forward_f32(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
+        let (p, f, ball) = (&self.params, self.f_in, &batch.ball);
+        let logits = match &self.features {
+            Features::F32(x) => gcn_logits(&mut ops, &g, p, x, f, ball, d),
+            Features::Half(x) => gcn_logits(&mut ops, &g, p, x, f, ball, d),
         };
-        let kernel_us = ops.total_time_us();
-
-        let replayed = match mode {
-            Mode::Eager => false,
-            Mode::Capture => {
-                self.capture.as_ref().expect("capture state").ctx.seal();
-                false
-            }
-            Mode::Replay => {
-                self.capture.as_ref().expect("capture state").ctx.end_epoch();
-                true
-            }
-        };
-        (logits, kernel_us, replayed)
+        (logits, ops.total_time_us())
     }
 
     /// Remote-shard halo fetch for one batch: the batch runs on the home
@@ -341,21 +347,7 @@ impl<'d> ServeEngine<'d> {
         let batch = coalesce(&self.graph, requests, self.cfg.hops);
         let ctx = ExecCtx::capturing();
         ctx.begin_epoch();
-        let g = GraphView::full(&batch.csr);
-        let dispatch = match &self.tuner {
-            Some(t) => Dispatch::tuned(self.cfg.precision, t),
-            None => Dispatch::untuned(self.cfg.precision),
-        }
-        .with_vertex_parallel_spmm(true)
-        .with_exec(Some(&ctx));
-        let mut ops = Ops::new(self.dev).with_exec(Some(&ctx));
-        if self.cfg.precision.is_half() {
-            let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);
-            gcn_forward_half(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right);
-        } else {
-            let xs = ops.gather_rows_f32(&self.x, self.f_in, &batch.ball);
-            gcn_forward_f32(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right);
-        }
+        self.run_forward(&batch, Some(&ctx));
         ctx.seal();
         ctx.summary()
     }
@@ -619,7 +611,6 @@ mod tests {
 
     #[test]
     fn inference_footprint_is_a_fraction_of_a_training_step() {
-        use halfgnn_nn::gcn::step_f32_norm;
         let dev = DeviceConfig::a100_like();
         let (csr, x) = toy_graph(40);
         let mut e = engine(&dev, &csr, &x, ServeConfig::default());
@@ -639,7 +630,7 @@ mod tests {
         let p = TwoLayerParams::new(8, 6, 4, 3);
         let labels = vec![0u32; batch.n()];
         let mask = vec![true; batch.n()];
-        step_f32_norm(&mut ops, &g, &p, &xs, &labels, &mask, d, GcnNorm::Right);
+        gcn::step(&mut ops, &g, &p, &xs, &labels, &mask, d, GcnNorm::Right);
         ctx.seal();
         let train = ctx.summary();
 

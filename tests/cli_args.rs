@@ -3,7 +3,7 @@
 //! the bad flag — never silently fall back to a default and train (or
 //! serve) the wrong thing.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_halfgnn-train"))
@@ -410,4 +410,34 @@ fn replay_flag_trains_and_reports_the_captured_graph() {
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(stdout.contains("replay graph"), "missing replay summary: {stdout}");
     assert!(stdout.contains("arena plan"), "missing arena line: {stdout}");
+}
+
+#[test]
+fn odd_hidden_width_trains_under_every_half_and_i8_mode() {
+    // Half2 and INT8 kernels need even widths: the driver pads the hidden
+    // width the way it pads classes (§4.1.2) instead of panicking. One
+    // model's six runs go at a time.
+    for model in ["gcn", "gat", "gin", "sage"] {
+        let mut runs = Vec::new();
+        for precision in ["halfgnn", "nodiscretize", "i8"] {
+            for batch in [None, Some("64")] {
+                let mut args = vec!["--dataset", "cora", "--model", model];
+                args.extend(["--precision", precision, "--hidden", "7", "--epochs", "1"]);
+                if let Some(b) = batch {
+                    args.extend(["--batch-size", b]);
+                }
+                let child = Command::new(env!("CARGO_BIN_EXE_halfgnn-train"))
+                    .args(&args)
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .expect("spawn halfgnn-train");
+                runs.push((args, child));
+            }
+        }
+        for (args, child) in runs {
+            let out = child.wait_with_output().expect("wait for halfgnn-train");
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        }
+    }
 }

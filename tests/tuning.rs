@@ -9,7 +9,9 @@
 //!   re-evaluates nothing and reproduces the first's losses exactly.
 
 use halfgnn::graph::datasets::Dataset;
-use halfgnn::nn::trainer::{train, ModelKind, PrecisionMode, TrainConfig, Tuning};
+use halfgnn::nn::trainer::{
+    train, ModelKind, PartitionStrategy, PrecisionMode, TrainConfig, Tuning,
+};
 
 fn cfg(model: ModelKind, tuning: Tuning, epochs: usize) -> TrainConfig {
     TrainConfig {
@@ -87,5 +89,30 @@ fn cached_tuning_round_trips_through_the_json_file() {
         second.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
         "identical plans must reproduce identical losses"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn one_shard_runs_reuse_cached_plans_whatever_the_partition() {
+    // `--partition` is ignored at one shard, so it must not key the plan
+    // cache either: a `balanced` run hits every plan a default run cached.
+    let dir = std::env::temp_dir().join("halfgnn-e2e-tuning-partition");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("plans.json");
+    std::fs::remove_file(&path).ok();
+    let tuning = Tuning::Cached(path.to_string_lossy().into_owned());
+
+    let data = Dataset::cora().load(42);
+    let first = train(&data, &cfg(ModelKind::Gcn, tuning.clone(), 2));
+    assert!(first.tuning_counters.unwrap().evaluations > 0, "cold cache must evaluate");
+
+    let balanced = TrainConfig {
+        partition: PartitionStrategy::DegreeBalanced,
+        ..cfg(ModelKind::Gcn, tuning, 2)
+    };
+    assert_eq!(balanced.effective_partition(), PartitionStrategy::Contiguous);
+    let c = train(&data, &balanced).tuning_counters.unwrap();
+    assert_eq!(c.evaluations, 0, "one-shard balanced run re-tuned cached plans: {c:?}");
+    assert_eq!(c.misses, 0, "every key must hit the cache: {c:?}");
     std::fs::remove_file(&path).ok();
 }
