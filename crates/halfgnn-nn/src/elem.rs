@@ -366,41 +366,29 @@ impl Elem for f32 {
         let halo = |ops: &mut Ops, ctx: &DistCtx, shard: &Shard| {
             ctx.exchange_halo_f32(ops, x, f, shard);
         };
-        launch(
-            ops,
-            g,
-            d,
-            "spmm_f32",
-            &ins,
-            (Span::Rows(f), Span::Rows(f)),
-            0.0,
-            halo,
-            |ops, win| {
-                // The forced vertex-parallel skeleton (serving, one device)
-                // runs the GE-SpMM row-per-warp kernel: each row reduces its
-                // own neighbors in column order, so output bits are independent
-                // of which other rows share the launch. Degree norm becomes a
-                // post-reduction row scale, same placement as the cuSPARSE
-                // path. (Weighted SpMMve — GAT — keeps the edge-tiled kernel;
-                // serving only dispatches unweighted GCN aggregation.)
-                if d.dist.is_none()
-                    && d.force_spmm == Some(SpmmVariant::VertexParallel)
-                    && w.is_ones()
-                {
-                    let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
-                    if let Some(scale) = row_scale {
-                        for (r, &sc) in scale.iter().enumerate() {
-                            for v in &mut y[r * f..(r + 1) * f] {
-                                *v *= sc;
-                            }
-                        }
+        // The forced vertex-parallel skeleton (serving, one device) runs
+        // the GE-SpMM row-per-warp kernel: each row reduces its own
+        // neighbors in column order, so output bits are independent of
+        // which other rows share the launch. Degree norm becomes a
+        // post-reduction row scale, same placement as the cuSPARSE path.
+        // (Weighted SpMMve — GAT — keeps the edge-tiled kernel; serving
+        // only dispatches unweighted GCN aggregation.)
+        let ge = d.dist.is_none() && d.force_spmm == Some(SpmmVariant::VertexParallel);
+        let run = |ops: &mut Ops, win| {
+            if !(ge && w.is_ones()) {
+                return cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, win);
+            }
+            let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
+            if let Some(scale) = row_scale {
+                for (r, &sc) in scale.iter().enumerate() {
+                    for v in &mut y[r * f..(r + 1) * f] {
+                        *v *= sc;
                     }
-                    (y, stats)
-                } else {
-                    cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, win)
                 }
-            },
-        )
+            }
+            (y, stats)
+        };
+        launch(ops, g, d, "spmm_f32", &ins, (Span::Rows(f), Span::Rows(f)), 0.0, halo, run)
     }
     fn gcn_agg_backward(
         ops: &mut Ops,

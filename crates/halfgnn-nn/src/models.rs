@@ -251,7 +251,7 @@ pub enum GcnNorm {
 /// Index span of a sparse kernel's launch window or output paste.
 #[derive(Clone, Copy)]
 pub(crate) enum Span {
-    /// Vertex rows, `f` output values each.
+    /// Vertex rows, `f` output values each (`f` matters only to a paste).
     Rows(usize),
     /// Edges, one output value each.
     Edges,

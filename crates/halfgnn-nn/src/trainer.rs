@@ -52,11 +52,12 @@ pub struct TrainConfig {
     pub model: ModelKind,
     /// Kernel/precision system.
     pub precision: PrecisionMode,
-    /// Full-batch epochs.
+    /// Training epochs.
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Hidden width (the paper fixes 64).
+    /// Hidden width (the paper fixes 64). Half paths pad an odd width to
+    /// even, like the class count (§4.1.2 feature padding).
     pub hidden: usize,
     /// Parameter-init seed.
     pub seed: u64,
