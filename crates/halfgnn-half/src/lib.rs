@@ -32,6 +32,7 @@ pub mod f16;
 pub mod intrinsics;
 pub mod overflow;
 pub mod quant;
+pub mod rows;
 pub mod slice;
 pub mod vec2;
 pub mod vec48;

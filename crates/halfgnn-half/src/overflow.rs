@@ -206,6 +206,21 @@ pub fn site(label: &'static str) -> SiteGuard {
     }
 }
 
+/// Add `n` clean (finite-result) conversions to this thread's open window
+/// in one call — the bulk counterpart of the per-conversion hook, used by
+/// the vectorized [`crate::rows`] bodies for rows with no non-finite lane.
+/// Like the hook, it does nothing unless a window is open on this thread,
+/// and nothing at all without the `provenance` feature.
+#[inline]
+pub fn count_clean(n: u64) {
+    #[cfg(feature = "provenance")]
+    if n != 0 && ACTIVE.with(|a| a.get()) {
+        WINDOW.with(|w| w.borrow_mut().conversions += n);
+    }
+    #[cfg(not(feature = "provenance"))]
+    let _ = n;
+}
+
 /// The recorder hook — called by `Half::from_f32` under the `provenance`
 /// feature for every conversion.
 #[cfg(feature = "provenance")]

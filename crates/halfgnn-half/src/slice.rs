@@ -1,101 +1,38 @@
-//! Slice utilities: alignment-checked vector reinterpretation, bulk
-//! conversion, and feature padding.
+//! Slice utilities: bulk conversion, feature padding and non-finite
+//! counting.
+//!
+//! The bulk conversions run through the [`crate::rows`] primitives, so
+//! they take the F16C path where the host has it and keep exact overflow
+//! provenance either way.
 //!
 //! §4.1.2 of the paper: "a simple type-casting of the features tensor to
 //! half2 allows us to use the half2 data type for data-loading ... hardware
 //! would not allow accessing half2 values whose address is not a multiple of
-//! 4 bytes". [`cast_half2`] models exactly that constraint — it returns an
-//! error instead of a slice when the length is odd or the base address is
-//! misaligned, which is what forces *feature padding* for odd feature
-//! lengths (e.g. Reddit's 41 classes).
+//! 4 bytes". Odd feature lengths (e.g. Reddit's 41 classes) are therefore
+//! *padded* ([`pad_feature_len`]) so half2/half4/half8 loads stay legal.
 
 use crate::f16::Half;
-use crate::vec2::Half2;
-
-/// Why a vector-type cast of a half slice was rejected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CastError {
-    /// Slice length is not a multiple of the vector width.
-    Length { len: usize, width: usize },
-    /// Base address is not aligned to the vector size in bytes.
-    Alignment { addr: usize, required: usize },
-}
-
-impl std::fmt::Display for CastError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CastError::Length { len, width } => {
-                write!(f, "slice length {len} is not a multiple of vector width {width}")
-            }
-            CastError::Alignment { addr, required } => {
-                write!(f, "address {addr:#x} is not {required}-byte aligned")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CastError {}
-
-/// Reinterpret a half slice as `Half2` words, enforcing the hardware's
-/// 4-byte alignment and even-length constraints.
-pub fn cast_half2(src: &[Half]) -> Result<&[Half2], CastError> {
-    if !src.len().is_multiple_of(2) {
-        return Err(CastError::Length { len: src.len(), width: 2 });
-    }
-    let addr = src.as_ptr() as usize;
-    if !addr.is_multiple_of(std::mem::align_of::<Half2>()) {
-        return Err(CastError::Alignment { addr, required: 4 });
-    }
-    // SAFETY: Half2 is repr(C) of two Half (no padding: size 4 = 2×2),
-    // length and alignment were just checked, and the lifetime is inherited
-    // from `src`.
-    Ok(unsafe { std::slice::from_raw_parts(src.as_ptr().cast::<Half2>(), src.len() / 2) })
-}
-
-/// Mutable variant of [`cast_half2`].
-pub fn cast_half2_mut(src: &mut [Half]) -> Result<&mut [Half2], CastError> {
-    if !src.len().is_multiple_of(2) {
-        return Err(CastError::Length { len: src.len(), width: 2 });
-    }
-    let addr = src.as_ptr() as usize;
-    if !addr.is_multiple_of(std::mem::align_of::<Half2>()) {
-        return Err(CastError::Alignment { addr, required: 4 });
-    }
-    // SAFETY: as in `cast_half2`, plus exclusive access via `&mut`.
-    Ok(unsafe { std::slice::from_raw_parts_mut(src.as_mut_ptr().cast::<Half2>(), src.len() / 2) })
-}
+use crate::rows;
 
 /// Round a feature length up to a multiple of `width` — *feature padding*
 /// (§4.1.2): odd class counts (Reddit's 41) are padded so half2/half4/half8
-/// casts stay legal.
+/// loads stay legal.
 pub const fn pad_feature_len(len: usize, width: usize) -> usize {
     len.div_ceil(width) * width
 }
 
 /// Convert an `f32` slice to freshly allocated halves (rounding each).
 pub fn f32_slice_to_half(src: &[f32]) -> Vec<Half> {
-    src.iter().map(|&v| Half::from_f32(v)).collect()
+    let mut out = vec![Half::ZERO; src.len()];
+    rows::to_half(src, &mut out);
+    out
 }
 
 /// Convert a half slice to freshly allocated `f32`s (exact widening).
 pub fn half_slice_to_f32(src: &[Half]) -> Vec<f32> {
-    src.iter().map(|v| v.to_f32()).collect()
-}
-
-/// Copy-convert into an existing buffer without allocating.
-pub fn convert_f32_to_half_into(src: &[f32], dst: &mut [Half]) {
-    assert_eq!(src.len(), dst.len(), "conversion buffers must match");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = Half::from_f32(*s);
-    }
-}
-
-/// Copy-convert halves into an existing `f32` buffer without allocating.
-pub fn convert_half_to_f32_into(src: &[Half], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "conversion buffers must match");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
-    }
+    let mut out = vec![0f32; src.len()];
+    rows::to_f32(src, &mut out);
+    out
 }
 
 /// Count of non-finite (Inf or NaN) lanes in a half slice — the overflow
@@ -113,36 +50,6 @@ mod tests {
     }
 
     #[test]
-    fn cast_even_aligned_slice() {
-        // Vec<Half2>-backed storage guarantees 4-byte alignment.
-        let backing: Vec<Half2> = vec![Half2::from_f32s(1.0, 2.0), Half2::from_f32s(3.0, 4.0)];
-        let halves: &[Half] =
-            unsafe { std::slice::from_raw_parts(backing.as_ptr().cast::<Half>(), 4) };
-        let pairs = cast_half2(halves).unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[1], Half2::from_f32s(3.0, 4.0));
-    }
-
-    #[test]
-    fn cast_rejects_odd_length() {
-        let v = vec![Half::ONE; 5];
-        assert_eq!(cast_half2(&v).unwrap_err(), CastError::Length { len: 5, width: 2 });
-    }
-
-    #[test]
-    fn cast_rejects_misaligned_base() {
-        let v = [Half::ONE; 8];
-        let addr = v.as_ptr() as usize;
-        // One of the two starting offsets 0/1 is guaranteed 2-mod-4.
-        let off = if addr.is_multiple_of(4) { 1 } else { 0 };
-        let sub = &v[off..off + 2];
-        match cast_half2(sub) {
-            Err(CastError::Alignment { required: 4, .. }) => {}
-            other => panic!("expected alignment error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn feature_padding() {
         assert_eq!(pad_feature_len(41, 2), 42); // Reddit classes
         assert_eq!(pad_feature_len(41, 8), 48);
@@ -157,13 +64,6 @@ mod tests {
         let hs = f32_slice_to_half(&xs);
         let back = half_slice_to_f32(&hs);
         assert_eq!(back, xs);
-
-        let mut buf = vec![Half::ZERO; 4];
-        convert_f32_to_half_into(&xs, &mut buf);
-        assert_eq!(buf, hs);
-        let mut fbuf = vec![0f32; 4];
-        convert_half_to_f32_into(&hs, &mut fbuf);
-        assert_eq!(fbuf, xs);
     }
 
     #[test]
@@ -171,11 +71,5 @@ mod tests {
         let v = vec![h(1.0), Half::INFINITY, Half::NAN, h(-2.0), Half::NEG_INFINITY];
         assert_eq!(count_non_finite(&v), 3);
         assert_eq!(count_non_finite(&[]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must match")]
-    fn mismatched_conversion_buffers_panic() {
-        convert_f32_to_half_into(&[1.0], &mut [Half::ZERO; 2]);
     }
 }

@@ -27,8 +27,9 @@
 
 use crate::common::{count_nonfinite, EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
 use halfgnn_graph::Coo;
-use halfgnn_half::intrinsics::{hadd, hmax, hmul};
+use halfgnn_half::intrinsics::{hadd, hmax};
 use halfgnn_half::overflow;
+use halfgnn_half::rows as row_ops;
 use halfgnn_half::Half;
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
@@ -55,17 +56,82 @@ impl Default for SpmmConfig {
     }
 }
 
-/// One staging-buffer record: a row's partial feature vector produced by a
-/// CTA whose row extends beyond the CTA boundary.
-struct StagedEntry {
-    row: u32,
+/// Row partials of one feature width `f`, stored flat: entry `i` is row
+/// `rows[i]` with values `vals[i*f..(i+1)*f]`. Holds a CTA's warp-boundary
+/// partials, its staging-buffer records, and the follow-up kernel's input.
+struct Partials {
+    f: usize,
+    rows: Vec<u32>,
     vals: Vec<Half>,
+}
+
+impl Partials {
+    fn new(f: usize) -> Partials {
+        Partials { f, rows: Vec::new(), vals: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn push(&mut self, row: u32, vals: &[Half]) {
+        self.rows.push(row);
+        self.vals.extend_from_slice(vals);
+    }
+
+    fn get(&self, i: usize) -> (u32, &[Half]) {
+        (self.rows[i], &self.vals[i * self.f..(i + 1) * self.f])
+    }
+
+    fn append(&mut self, other: Partials) {
+        self.rows.extend(other.rows);
+        self.vals.extend(other.vals);
+    }
+
+    /// Sum each run of adjacent same-row entries into its first entry, in
+    /// entry order (`first ← first ⊕ next`), and drop the rest. Returns
+    /// the number of entries merged away.
+    fn merge_runs(&mut self) -> usize {
+        let f = self.f;
+        let n = self.len();
+        if n == 0 {
+            return 0;
+        }
+        let mut j = 0;
+        for i in 1..n {
+            if self.rows[i] == self.rows[j] {
+                let (head, tail) = self.vals.split_at_mut(i * f);
+                row_ops::add(&mut head[j * f..(j + 1) * f], &tail[..f]);
+            } else {
+                j += 1;
+                self.rows[j] = self.rows[i];
+                self.vals.copy_within(i * f..(i + 1) * f, j * f);
+            }
+        }
+        self.rows.truncate(j + 1);
+        self.vals.truncate((j + 1) * f);
+        n - (j + 1)
+    }
+
+    /// Write every entry's values to its row of `y` (rows are distinct
+    /// after [`Partials::merge_runs`]).
+    fn assign_into(&self, y: &mut [Half]) {
+        let f = self.f;
+        for i in 0..self.len() {
+            let (row, vals) = self.get(i);
+            y[row as usize * f..(row as usize + 1) * f].copy_from_slice(vals);
+        }
+    }
 }
 
 /// Per-CTA result of the main kernel.
 struct CtaOut {
     writes: WriteList<Half>,
-    staged: Vec<StagedEntry>,
+    staged: Partials,
 }
 
 /// `Y ← A_w · X` in half precision with sum reduction.
@@ -154,10 +220,12 @@ pub fn spmm_window(
         if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" },
         LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
         |cta| {
-            let mut out = CtaOut { writes: WriteList::new(), staged: Vec::new() };
+            let mut out = CtaOut { writes: WriteList::new(), staged: Partials::new(f) };
             // (warp, row, full_row_within_warp handled directly; the rest
             // collected here for CTA-level combining.)
-            let mut boundary: Vec<StagedEntry> = Vec::new();
+            let mut boundary = Partials::new(f);
+            // The running accumulator, reused by every segment of the CTA.
+            let mut acc = vec![Half::ZERO; f];
 
             for wi in 0..tiling.warps_per_cta {
                 let (s, e) = tiling.warp_range_in(cta.id + cta_lo, wi, e0, e1);
@@ -197,30 +265,25 @@ pub fn spmm_window(
                 }
 
                 // ---- Functional: run the tile, segment by row.
-                let mut acc = vec![Half::ZERO; f];
                 let mut seg_row = rows[s];
                 let mut seg_start = s;
                 let flush = |warp: &mut halfgnn_sim::WarpCtx,
-                             boundary: &mut Vec<StagedEntry>,
+                             boundary: &mut Partials,
                              out: &mut CtaOut,
-                             acc: &mut Vec<Half>,
+                             acc: &mut [Half],
                              row: u32,
                              seg_s: usize,
                              seg_e: usize| {
-                    let mut vals = std::mem::replace(acc, vec![Half::ZERO; f]);
                     match cfg.scaling {
                         ScalePlacement::Discretized => {
-                            let sc = scale_of(row);
-                            for v in vals.iter_mut() {
-                                *v = hmul(*v, sc);
-                            }
+                            row_ops::scale(acc, scale_of(row));
                             warp.half2_ops(half2_lanes.div_ceil(32));
                         }
                         ScalePlacement::PreReduction
                         | ScalePlacement::PostReduction
                         | ScalePlacement::None => {}
                     }
-                    warp.nonfinite_values(count_nonfinite(&vals));
+                    warp.nonfinite_values(count_nonfinite(acc));
                     let full_row = seg_s == row_offsets[row as usize]
                         && seg_e == row_offsets[row as usize + 1];
                     match cfg.writes {
@@ -232,9 +295,9 @@ pub fn spmm_window(
                                     f / 2,
                                     4,
                                 );
-                                out.writes.assign(row as usize * f, vals);
+                                out.writes.assign(row as usize * f, &*acc);
                             } else {
-                                boundary.push(StagedEntry { row, vals });
+                                boundary.push(row, acc);
                             }
                         }
                         WriteStrategy::Atomic => {
@@ -244,7 +307,7 @@ pub fn spmm_window(
                                     f / 2,
                                     4,
                                 );
-                                out.writes.assign(row as usize * f, vals);
+                                out.writes.assign(row as usize * f, &*acc);
                             } else {
                                 // Prior-work style: half2 atomic adds, which
                                 // serialize with every other tile of the row.
@@ -255,12 +318,14 @@ pub fn spmm_window(
                                 // One CAS-loop atomic per half2 word: the
                                 // L2 atomic unit serializes per address.
                                 warp.atomic_add(AtomicKind::F16, half2_lanes.max(1), conflict);
-                                out.writes.add(row as usize * f, vals);
+                                out.writes.add(row as usize * f, &*acc);
                             }
                         }
                     }
+                    acc.fill(Half::ZERO);
                 };
 
+                let pre = cfg.scaling == ScalePlacement::PreReduction;
                 for ei in s..e {
                     let r = rows[ei];
                     if r != seg_row {
@@ -268,17 +333,14 @@ pub fn spmm_window(
                         seg_row = r;
                         seg_start = ei;
                     }
+                    // half2 FMA semantics lanewise; Pre scales each product
+                    // before it joins the accumulator.
                     let c = cols[ei] as usize;
-                    let wv = w.get(ei);
                     let xr = &x[c * f..(c + 1) * f];
-                    let pre = cfg.scaling == ScalePlacement::PreReduction;
-                    let sc = if pre { scale_of(r) } else { Half::ONE };
-                    for (a, &xv) in acc.iter_mut().zip(xr) {
-                        // half2 FMA semantics lanewise; Pre scales each
-                        // product before it joins the accumulator.
-                        let prod = hmul(wv, xv);
-                        let prod = if pre { hmul(prod, sc) } else { prod };
-                        *a = hadd(*a, prod);
+                    if pre {
+                        row_ops::axpy_scaled(&mut acc, w.get(ei), xr, scale_of(r));
+                    } else {
+                        row_ops::axpy(&mut acc, w.get(ei), xr);
                     }
                 }
                 flush(&mut warp, &mut boundary, &mut out, &mut acc, seg_row, seg_start, e);
@@ -291,29 +353,21 @@ pub fn spmm_window(
                 cta.barrier();
                 let mut warp0 = cta.warp(0);
                 let merge_instrs = ((f / 2) as u64).div_ceil(32).max(1);
-                let mut merged: Vec<StagedEntry> = Vec::new();
-                for entry in boundary {
-                    match merged.last_mut() {
-                        Some(last) if last.row == entry.row => {
-                            for (a, b) in last.vals.iter_mut().zip(&entry.vals) {
-                                *a = hadd(*a, *b);
-                            }
-                            warp0.smem_accesses(merge_instrs * 2);
-                            warp0.half2_ops(merge_instrs);
-                        }
-                        _ => merged.push(entry),
-                    }
+                for _ in 0..boundary.merge_runs() {
+                    warp0.smem_accesses(merge_instrs * 2);
+                    warp0.half2_ops(merge_instrs);
                 }
                 let (cta_s, _) = tiling.warp_range_in(cta_id + cta_lo, 0, e0, e1);
                 let cta_e =
                     tiling.warp_range_in(cta_id + cta_lo, tiling.warps_per_cta - 1, e0, e1).1;
-                for m in merged {
-                    let fully_inside = row_offsets[m.row as usize] >= cta_s
-                        && row_offsets[m.row as usize + 1] <= cta_e;
+                for i in 0..boundary.len() {
+                    let (row, vals) = boundary.get(i);
+                    let fully_inside = row_offsets[row as usize] >= cta_s
+                        && row_offsets[row as usize + 1] <= cta_e;
                     if fully_inside {
                         // Complete within the CTA: non-conflicting write.
-                        warp0.store_contiguous(y_base + m.row as u64 * (f as u64 * 2), f / 2, 4);
-                        out.writes.assign(m.row as usize * f, m.vals);
+                        warp0.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
+                        out.writes.assign(row as usize * f, vals);
                     } else {
                         // §5.2.3 case 3b: to the staging buffer.
                         warp0.store_contiguous(
@@ -321,7 +375,7 @@ pub fn spmm_window(
                             f / 2 + 1,
                             4,
                         );
-                        out.staged.push(m);
+                        out.staged.push(row, vals);
                     }
                 }
             }
@@ -331,11 +385,11 @@ pub fn spmm_window(
 
     // Commit the main kernel's non-conflicting writes, gather staging.
     let mut y = vec![Half::ZERO; num_rows * f];
-    let mut staged_all: Vec<StagedEntry> = Vec::new();
+    let mut staged_all = Partials::new(f);
     let mut writes = Vec::with_capacity(cta_outs.len());
     for c in cta_outs {
         writes.push(c.writes);
-        staged_all.extend(c.staged);
+        staged_all.append(c.staged);
     }
     // The §5.2.3 protocol guarantee: every direct/CTA-resolved write owns
     // its row exclusively. Validated in debug builds; an overlap here is a
@@ -352,7 +406,7 @@ pub fn spmm_window(
     // ---- Follow-up kernel: merge staging-buffer runs and write them.
     if cfg.writes == WriteStrategy::Staged && !staged_all.is_empty() {
         let entries = staged_all.len();
-        let (followup_writes, follow_stats) = launch(
+        let (_, follow_stats) = launch(
             dev,
             "spmm_followup",
             LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
@@ -369,25 +423,11 @@ pub fn spmm_window(
                 }
             },
         );
-        let _ = followup_writes;
         // Functional merge: entries arrive in CTA order, so same-row runs
         // are adjacent; rows that cross CTA boundaries were never written
         // by the main kernel, so the merged value is assigned.
-        let mut wl: WriteList<Half> = WriteList::new();
-        let mut it = staged_all.into_iter();
-        let mut cur = it.next().expect("non-empty");
-        for entry in it {
-            if entry.row == cur.row {
-                for (a, b) in cur.vals.iter_mut().zip(&entry.vals) {
-                    *a = hadd(*a, *b);
-                }
-            } else {
-                wl.assign(std::mem::take(&mut cur.row) as usize * f, std::mem::take(&mut cur.vals));
-                cur = entry;
-            }
-        }
-        wl.assign(cur.row as usize * f, cur.vals);
-        wl.commit(&mut y);
+        staged_all.merge_runs();
+        staged_all.assign_into(&mut y);
         stats = stats.then(&follow_stats);
     }
 
@@ -414,10 +454,7 @@ pub fn spmm_window(
             },
         );
         for r in r0..r1 {
-            let sc = scale[r];
-            for v in &mut y[r * f..(r + 1) * f] {
-                *v = hmul(*v, sc);
-            }
+            row_ops::scale(&mut y[r * f..(r + 1) * f], scale[r]);
         }
         stats = stats.then(&post_stats);
     }
@@ -620,7 +657,9 @@ pub fn spmm_vertex_parallel_window(
         |cta| {
             let cta_id = cta.id;
             let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged: Vec<(u32, Vec<Half>)> = Vec::new();
+            let mut staged = Partials::new(f);
+            // One accumulator reused by every group of the CTA.
+            let mut acc = vec![Half::ZERO; f];
             for wi in 0..WARPS_PER_CTA {
                 let gi = cta_id * WARPS_PER_CTA + wi;
                 let Some(&(row, off, len)) = groups.get(gi) else { break };
@@ -646,32 +685,29 @@ pub fn spmm_vertex_parallel_window(
                     warp.half2_ops((len as u64 * half2_lanes).div_ceil(32));
                 }
 
-                let mut acc = vec![Half::ZERO; f];
-                let pre = scaling == ScalePlacement::PreReduction;
+                acc.fill(Half::ZERO);
                 let sc = scale_of(row);
                 for (k, &c) in cols.iter().enumerate() {
-                    let wv = w.get(off + k);
-                    for (a, &xv) in acc.iter_mut().zip(&x[c as usize * f..(c as usize + 1) * f]) {
-                        let prod = hmul(wv, xv);
-                        let prod = if pre { hmul(prod, sc) } else { prod };
-                        *a = hadd(*a, prod);
+                    let xr = &x[c as usize * f..(c as usize + 1) * f];
+                    if scaling == ScalePlacement::PreReduction {
+                        row_ops::axpy_scaled(&mut acc, w.get(off + k), xr, sc);
+                    } else {
+                        row_ops::axpy(&mut acc, w.get(off + k), xr);
                     }
                 }
                 // Discretized scaling: each ≤64-neighbor group is scaled
                 // before it joins the rest of the row.
                 if scaling == ScalePlacement::Discretized {
-                    for v in acc.iter_mut() {
-                        *v = hmul(*v, sc);
-                    }
+                    row_ops::scale(&mut acc, sc);
                     warp.half2_ops(half2_lanes.div_ceil(32));
                 }
                 warp.nonfinite_values(count_nonfinite(&acc));
                 if csr.degree(row) as usize <= GROUP {
                     warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
-                    writes.assign(row as usize * f, acc);
+                    writes.assign(row as usize * f, &acc);
                 } else {
                     warp.store_contiguous(stage_base + gi as u64 * (f as u64 + 2), f / 2 + 1, 4);
-                    staged.push((row, acc));
+                    staged.push(row, &acc);
                 }
             }
             (writes, staged)
@@ -679,11 +715,11 @@ pub fn spmm_vertex_parallel_window(
     );
 
     let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all: Vec<(u32, Vec<Half>)> = Vec::new();
+    let mut staged_all = Partials::new(f);
     let mut writes = Vec::new();
     for (wl, st) in cta_outs {
         writes.push(wl);
-        staged_all.extend(st);
+        staged_all.append(st);
     }
     commit_all(writes, &mut y);
 
@@ -705,22 +741,8 @@ pub fn spmm_vertex_parallel_window(
                 }
             },
         );
-        let mut it = staged_all.into_iter();
-        let (mut cur_row, mut cur_vals) = it.next().expect("non-empty");
-        let mut wl: WriteList<Half> = WriteList::new();
-        for (r, vals) in it {
-            if r == cur_row {
-                for (a, b) in cur_vals.iter_mut().zip(&vals) {
-                    *a = hadd(*a, *b);
-                }
-            } else {
-                wl.assign(cur_row as usize * f, std::mem::take(&mut cur_vals));
-                cur_row = r;
-                cur_vals = vals;
-            }
-        }
-        wl.assign(cur_row as usize * f, cur_vals);
-        wl.commit(&mut y);
+        staged_all.merge_runs();
+        staged_all.assign_into(&mut y);
         stats = stats.then(&follow);
     }
 
@@ -728,10 +750,7 @@ pub fn spmm_vertex_parallel_window(
     if scaling == ScalePlacement::PostReduction {
         let scale = row_scale.expect("checked above");
         for r in r0..r1 {
-            let sc = scale[r];
-            for v in &mut y[r * f..(r + 1) * f] {
-                *v = hmul(*v, sc);
-            }
+            row_ops::scale(&mut y[r * f..(r + 1) * f], scale[r]);
         }
     }
     (y, stats)

@@ -14,6 +14,7 @@
 //! way.
 
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
+use halfgnn_half::rows;
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
 use halfgnn_half::Half;
 use halfgnn_sim::launch::{launch, LaunchParams};
@@ -371,11 +372,10 @@ impl<'d> Ops<'d> {
     pub fn bias_add_half(&mut self, x: &[Half], bias: &[Half]) -> Vec<Half> {
         let n = bias.len();
         self.charge_elementwise("bias_f16", x.len(), 2, 2, 1, 1, true);
-        let out: Vec<Half> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| halfgnn_half::intrinsics::hadd(v, bias[i % n]))
-            .collect();
+        let mut out = x.to_vec();
+        for row in out.chunks_mut(n.max(1)) {
+            rows::add(row, &bias[..row.len()]);
+        }
         self.trace("bias_f16", &[buf_ref(x), buf_ref(bias)], &[buf_ref(&out)]);
         out
     }
@@ -384,9 +384,8 @@ impl<'d> Ops<'d> {
     pub fn scale_add_half(&mut self, a: Half, x: &[Half], b: Half, y: &[Half]) -> Vec<Half> {
         assert_eq!(x.len(), y.len());
         self.charge_elementwise("scale_add_f16", x.len(), 2, 2, 1, 2, true);
-        use halfgnn_half::intrinsics::{hadd, hmul};
-        let out: Vec<Half> =
-            x.iter().zip(y).map(|(&xv, &yv)| hadd(hmul(a, xv), hmul(b, yv))).collect();
+        let mut out = vec![Half::ZERO; x.len()];
+        rows::scale_add(&mut out, a, x, b, y);
         self.trace("scale_add_f16", &[buf_ref(x), buf_ref(y)], &[buf_ref(&out)]);
         out
     }
@@ -414,11 +413,10 @@ impl<'d> Ops<'d> {
     pub fn row_scale_half(&mut self, x: &[Half], scale: &[Half], f: usize) -> Vec<Half> {
         assert_eq!(x.len(), scale.len() * f);
         self.charge_elementwise("row_scale_f16", x.len(), 2, 1, 1, 1, true);
-        let out: Vec<Half> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| halfgnn_half::intrinsics::hmul(v, scale[i / f]))
-            .collect();
+        let mut out = x.to_vec();
+        for (row, &s) in out.chunks_mut(f.max(1)).zip(scale) {
+            rows::scale(row, s);
+        }
         self.trace("row_scale_f16", &[buf_ref(x), buf_ref(scale)], &[buf_ref(&out)]);
         out
     }
