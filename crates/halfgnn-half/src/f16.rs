@@ -86,6 +86,11 @@ impl Half {
 
     /// The pure, uninstrumented conversion — identical numerics to
     /// [`Half::from_f32`], never observed by overflow tracking.
+    ///
+    /// This is the reference rounding. The F16C row bodies in
+    /// [`crate::rows`] round with `vcvtps2ph` under the explicit
+    /// round-to-nearest-even immediate, which matches it on all 2^32
+    /// inputs (pinned by the exhaustive test in CI).
     pub fn from_f32_raw(value: f32) -> Half {
         let x = value.to_bits();
         let sign = ((x >> 16) & 0x8000) as u16;
@@ -139,6 +144,13 @@ impl Half {
     }
 
     /// Widen to `f32`. Exact: every binary16 value is representable in `f32`.
+    ///
+    /// This is the reference widening. A signalling NaN (exponent `0x1F`,
+    /// quiet bit clear, payload non-zero — 1022 encodings) stays
+    /// signalling with its payload shifted into place. Hardware
+    /// `vcvtph2ps` quiets those, so the F16C row bodies in
+    /// [`crate::rows`] use this function for any chunk holding an
+    /// exponent-`0x1F` half.
     pub fn to_f32(self) -> f32 {
         let h = self.0;
         let sign = ((h & 0x8000) as u32) << 16;

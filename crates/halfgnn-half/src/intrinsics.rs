@@ -11,6 +11,11 @@
 //! (11-bit significands: products take ≤22 bits, sums ≤ 24 bits with the
 //! exponent range of f16, all exact in f32). Division and exp are correctly
 //! rounded up to possible double rounding, which is pinned by tests.
+//!
+//! These scalar functions are the reference semantics. The row primitives
+//! in [`crate::rows`] apply `hadd`/`hmul` to whole rows, and their F16C
+//! bodies must reproduce the scalar result bit for bit; any lane whose
+//! rounding is non-finite is recomputed with these functions.
 
 use crate::f16::Half;
 

@@ -27,6 +27,11 @@
 //! [`overflow`] module exploits that choke point to record, under the
 //! opt-in `provenance` feature, the first op site that produced an
 //! INF/NaN — the forensic trail behind the paper's Fig. 1c NaN collapse.
+//!
+//! Kernels and tensor ops apply these operations to whole rows through
+//! [`rows`], which runs x86 F16C/AVX2 bodies where the CPU has them and
+//! the scalar reference bodies elsewhere, with the same bits and the same
+//! provenance either way.
 
 pub mod f16;
 pub mod intrinsics;

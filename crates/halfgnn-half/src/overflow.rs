@@ -14,12 +14,26 @@
 //! * The hook inside `Half::from_f32` is compiled only under the
 //!   `provenance` cargo feature, so default builds pay nothing.
 //! * Even when compiled, recording happens only between [`begin`] and
-//!   [`take`] — a thread-local flag keeps the inactive cost to one
-//!   `Cell` read per conversion.
+//!   [`take`]. With no window open, the cost is one thread-local `Cell`
+//!   read per scalar conversion, one per row for the vectorized
+//!   [`crate::rows`] bodies (their [`count_clean`] call), and, whether or
+//!   not a window is open, a thread-local `Vec` push and truncate per
+//!   [`site`] guard.
 //! * Call sites label themselves with [`site`] guards (kernel entry
 //!   points, tensor ops, model layers); the first non-finite conversion
 //!   inside a tracking window is captured with its label, making "which
 //!   tensor overflowed first this epoch" a direct query.
+//!
+//! Bulk counting with exact scalar replay: the vectorized row primitives
+//! in [`crate::rows`] do not call the hook per lane. An 8-lane chunk whose
+//! every rounding is finite only adds to a pending count, which reaches
+//! the window through one [`count_clean`] call per row. A chunk with any
+//! non-finite rounding first flushes the pending count, then is
+//! recomputed from its unmodified input by the scalar body, which calls
+//! the hook for every conversion in scalar order. Only non-finite
+//! conversions carry information beyond the count, so a window sees
+//! exactly the counts, first-event site, `conversion_index`, input and
+//! kind that per-conversion recording would give.
 //!
 //! The types below are always compiled (only the recording hook is
 //! feature-gated), so downstream crates can plumb summaries through their
@@ -32,8 +46,9 @@
 //! real-threads fast backend (`ExecMode::Fast`) runs CTAs on pool worker
 //! threads that do not share the recorder's thread-local state —
 //! provenance under fast mode is documented as incomplete (conversions on
-//! workers are simply not recorded); switch to `Sim` when chasing an
-//! overflow. Merging per-worker windows at join points is future work.
+//! workers are simply not recorded, by the hook and by [`count_clean`]
+//! alike); switch to `Sim` when chasing an overflow. Merging per-worker
+//! windows at join points is future work.
 
 #[cfg(feature = "provenance")]
 use crate::Half;
