@@ -128,7 +128,7 @@ pub fn halo_gather_f32(
                 warp.store_contiguous(out_base + (lo * f) as u64 * 4, (hi - lo) * f, 4);
                 for (i, &src_row) in halo.iter().enumerate().take(hi).skip(lo) {
                     let src = src_row as usize * f;
-                    writes.assign(i * f, &x[src..src + f]);
+                    writes.assign(i * f, x[src..src + f].to_vec());
                 }
             }
             writes
@@ -235,7 +235,7 @@ pub fn allreduce_f16_discretized(
                 // Dequantize: exact power-of-two scale back to f32.
                 warp.convert_ops(chunks);
                 warp.store_contiguous(out_base + lo as u64 * 4, len, 4);
-                writes.assign(lo, acc.iter().map(|h| h.to_f32() * up).collect::<Vec<f32>>());
+                writes.assign(lo, acc.iter().map(|h| h.to_f32() * up).collect());
             }
             writes
         },
@@ -313,7 +313,7 @@ pub fn halo_gather_i8(
                 warp.convert_ops((((hi - lo) * f) as u64).div_ceil(32).max(1));
                 warp.store_contiguous(out_base + (lo * f) as u64, ((hi - lo) * f).div_ceil(4), 4);
                 for i in lo..hi {
-                    writes.assign(i * f, &wire.q[i * f..(i + 1) * f]);
+                    writes.assign(i * f, wire.q[i * f..(i + 1) * f].to_vec());
                 }
             }
             writes
@@ -411,8 +411,7 @@ pub fn allreduce_i8_stochastic(
                 // Dequantize: exact power-of-two scale back to f32.
                 warp.convert_ops(chunks);
                 warp.store_contiguous(out_base + lo as u64 * 4, len, 4);
-                writes
-                    .assign(lo, acc.iter().map(|&q| (q as f64 * up) as f32).collect::<Vec<f32>>());
+                writes.assign(lo, acc.iter().map(|&q| (q as f64 * up) as f32).collect());
             }
             writes
         },

@@ -31,7 +31,7 @@ use halfgnn_half::intrinsics::{hadd, hmax};
 use halfgnn_half::overflow;
 use halfgnn_half::rows as row_ops;
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{launch, LaunchParams};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 
@@ -56,9 +56,10 @@ impl Default for SpmmConfig {
     }
 }
 
-/// Row partials of one feature width `f`, stored flat: entry `i` is row
-/// `rows[i]` with values `vals[i*f..(i+1)*f]`. Holds a CTA's warp-boundary
-/// partials, its staging-buffer records, and the follow-up kernel's input.
+/// Row vectors of one feature width `f`, stored flat: entry `i` is row
+/// `rows[i]` with values `vals[i*f..(i+1)*f]`. A CTA's direct writes,
+/// warp-boundary partials and staging-buffer records live in these, so a
+/// CTA allocates per buffer, not per row.
 struct Partials {
     f: usize,
     rows: Vec<u32>,
@@ -66,8 +67,9 @@ struct Partials {
 }
 
 impl Partials {
-    fn new(f: usize) -> Partials {
-        Partials { f, rows: Vec::new(), vals: Vec::new() }
+    /// Empty, with room for `rows` entries.
+    fn with_capacity(f: usize, rows: usize) -> Partials {
+        Partials { f, rows: Vec::with_capacity(rows), vals: Vec::with_capacity(rows * f) }
     }
 
     fn len(&self) -> usize {
@@ -87,9 +89,9 @@ impl Partials {
         (self.rows[i], &self.vals[i * self.f..(i + 1) * self.f])
     }
 
-    fn append(&mut self, other: Partials) {
-        self.rows.extend(other.rows);
-        self.vals.extend(other.vals);
+    fn append(&mut self, other: &Partials) {
+        self.rows.extend_from_slice(&other.rows);
+        self.vals.extend_from_slice(&other.vals);
     }
 
     /// Sum each run of adjacent same-row entries into its first entry, in
@@ -117,20 +119,35 @@ impl Partials {
         n - (j + 1)
     }
 
-    /// Write every entry's values to its row of `y` (rows are distinct
-    /// after [`Partials::merge_runs`]).
+    /// Overwrite each entry's row of `y`.
     fn assign_into(&self, y: &mut [Half]) {
         let f = self.f;
-        for i in 0..self.len() {
-            let (row, vals) = self.get(i);
-            y[row as usize * f..(row as usize + 1) * f].copy_from_slice(vals);
+        for (i, &row) in self.rows.iter().enumerate() {
+            y[row as usize * f..(row as usize + 1) * f]
+                .copy_from_slice(&self.vals[i * f..(i + 1) * f]);
+        }
+    }
+
+    /// Accumulate each entry into its row of `y` (`y ← y + v`, lanewise,
+    /// in entry order).
+    fn add_into(&self, y: &mut [Half]) {
+        let f = self.f;
+        for (i, &row) in self.rows.iter().enumerate() {
+            let dst = &mut y[row as usize * f..(row as usize + 1) * f];
+            for (d, &v) in dst.iter_mut().zip(&self.vals[i * f..(i + 1) * f]) {
+                *d += v;
+            }
         }
     }
 }
 
 /// Per-CTA result of the main kernel.
 struct CtaOut {
-    writes: WriteList<Half>,
+    /// Rows the CTA owns exclusively (§5.2.3 cases 1, 2 and 3a).
+    direct: Partials,
+    /// Atomic-strategy partial rows, accumulated at commit.
+    atomic: Partials,
+    /// §5.2.3 case 3b: rows crossing the CTA boundary, for the follow-up.
     staged: Partials,
 }
 
@@ -220,10 +237,20 @@ pub fn spmm_window(
         if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" },
         LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
         |cta| {
-            let mut out = CtaOut { writes: WriteList::new(), staged: Partials::new(f) };
+            // The CTA's edges cover at most this many rows: it bounds every
+            // per-CTA buffer, so none of them reallocates.
+            let (cta_s, _) = tiling.warp_range_in(cta.id + cta_lo, 0, e0, e1);
+            let cta_e = tiling.warp_range_in(cta.id + cta_lo, tiling.warps_per_cta - 1, e0, e1).1;
+            let max_rows =
+                if cta_s < cta_e { (rows[cta_e - 1] - rows[cta_s]) as usize + 1 } else { 0 };
+            let mut out = CtaOut {
+                direct: Partials::with_capacity(f, max_rows),
+                atomic: Partials::with_capacity(f, 0),
+                staged: Partials::with_capacity(f, 0),
+            };
             // (warp, row, full_row_within_warp handled directly; the rest
             // collected here for CTA-level combining.)
-            let mut boundary = Partials::new(f);
+            let mut boundary = Partials::with_capacity(f, 2 * tiling.warps_per_cta);
             // The running accumulator, reused by every segment of the CTA.
             let mut acc = vec![Half::ZERO; f];
 
@@ -295,7 +322,7 @@ pub fn spmm_window(
                                     f / 2,
                                     4,
                                 );
-                                out.writes.assign(row as usize * f, &*acc);
+                                out.direct.push(row, acc);
                             } else {
                                 boundary.push(row, acc);
                             }
@@ -307,7 +334,7 @@ pub fn spmm_window(
                                     f / 2,
                                     4,
                                 );
-                                out.writes.assign(row as usize * f, &*acc);
+                                out.direct.push(row, acc);
                             } else {
                                 // Prior-work style: half2 atomic adds, which
                                 // serialize with every other tile of the row.
@@ -318,7 +345,7 @@ pub fn spmm_window(
                                 // One CAS-loop atomic per half2 word: the
                                 // L2 atomic unit serializes per address.
                                 warp.atomic_add(AtomicKind::F16, half2_lanes.max(1), conflict);
-                                out.writes.add(row as usize * f, &*acc);
+                                out.atomic.push(row, acc);
                             }
                         }
                     }
@@ -357,9 +384,6 @@ pub fn spmm_window(
                     warp0.smem_accesses(merge_instrs * 2);
                     warp0.half2_ops(merge_instrs);
                 }
-                let (cta_s, _) = tiling.warp_range_in(cta_id + cta_lo, 0, e0, e1);
-                let cta_e =
-                    tiling.warp_range_in(cta_id + cta_lo, tiling.warps_per_cta - 1, e0, e1).1;
                 for i in 0..boundary.len() {
                     let (row, vals) = boundary.get(i);
                     let fully_inside = row_offsets[row as usize] >= cta_s
@@ -367,7 +391,7 @@ pub fn spmm_window(
                     if fully_inside {
                         // Complete within the CTA: non-conflicting write.
                         warp0.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
-                        out.writes.assign(row as usize * f, vals);
+                        out.direct.push(row, vals);
                     } else {
                         // §5.2.3 case 3b: to the staging buffer.
                         warp0.store_contiguous(
@@ -383,23 +407,27 @@ pub fn spmm_window(
         },
     );
 
-    // Commit the main kernel's non-conflicting writes, gather staging.
-    let mut y = vec![Half::ZERO; num_rows * f];
-    let mut staged_all = Partials::new(f);
-    let mut writes = Vec::with_capacity(cta_outs.len());
-    for c in cta_outs {
-        writes.push(c.writes);
-        staged_all.append(c.staged);
-    }
+    // Commit in CTA order: each CTA's direct rows, then its atomic adds;
+    // gather the staging records.
     // The §5.2.3 protocol guarantee: every direct/CTA-resolved write owns
-    // its row exclusively. Validated in debug builds; an overlap here is a
-    // kernel bug that a real GPU would express as a lost update.
+    // its row exclusively. Validated in debug builds; a row written twice
+    // here is a kernel bug that a real GPU would express as a lost update.
     debug_assert!(
-        halfgnn_sim::launch::find_assign_overlap(&writes).is_none(),
-        "conflicting direct writes: {:?}",
-        halfgnn_sim::launch::find_assign_overlap(&writes)
+        {
+            let mut direct: Vec<u32> =
+                cta_outs.iter().flat_map(|c| c.direct.rows.iter().copied()).collect();
+            direct.sort_unstable();
+            direct.windows(2).all(|w| w[0] != w[1])
+        },
+        "conflicting direct writes"
     );
-    commit_all(writes, &mut y);
+    let mut y = vec![Half::ZERO; num_rows * f];
+    let mut staged_all = Partials::with_capacity(f, 0);
+    for c in &cta_outs {
+        c.direct.assign_into(&mut y);
+        c.atomic.add_into(&mut y);
+        staged_all.append(&c.staged);
+    }
 
     let mut stats = main_stats;
 
@@ -656,8 +684,8 @@ pub fn spmm_vertex_parallel_window(
         LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
         |cta| {
             let cta_id = cta.id;
-            let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged = Partials::new(f);
+            let mut direct = Partials::with_capacity(f, WARPS_PER_CTA);
+            let mut staged = Partials::with_capacity(f, WARPS_PER_CTA);
             // One accumulator reused by every group of the CTA.
             let mut acc = vec![Half::ZERO; f];
             for wi in 0..WARPS_PER_CTA {
@@ -704,24 +732,22 @@ pub fn spmm_vertex_parallel_window(
                 warp.nonfinite_values(count_nonfinite(&acc));
                 if csr.degree(row) as usize <= GROUP {
                     warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
-                    writes.assign(row as usize * f, &acc);
+                    direct.push(row, &acc);
                 } else {
                     warp.store_contiguous(stage_base + gi as u64 * (f as u64 + 2), f / 2 + 1, 4);
                     staged.push(row, &acc);
                 }
             }
-            (writes, staged)
+            (direct, staged)
         },
     );
 
     let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all = Partials::new(f);
-    let mut writes = Vec::new();
-    for (wl, st) in cta_outs {
-        writes.push(wl);
-        staged_all.append(st);
+    let mut staged_all = Partials::with_capacity(f, 0);
+    for (direct, staged) in &cta_outs {
+        direct.assign_into(&mut y);
+        staged_all.append(staged);
     }
-    commit_all(writes, &mut y);
 
     let mut stats = main_stats;
     if !staged_all.is_empty() {

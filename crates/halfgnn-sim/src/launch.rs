@@ -148,39 +148,27 @@ where
 /// well-formed kernel's `assign` ranges are disjoint across CTAs (the
 /// non-conflicting writes of §5.2.3) while `add` ranges may overlap (the
 /// staging-buffer path resolves them sequentially, mirroring the follow-up
-/// kernel). Values are copied into one flat buffer per list, so a CTA
-/// writing many rows allocates once, not once per row.
+/// kernel).
 #[derive(Debug, Default)]
 pub struct WriteList<T> {
-    /// `(start in out, range in data)` per assignment, in push order.
-    assigns: Vec<(usize, std::ops::Range<usize>)>,
-    /// `(start in out, range in data)` per accumulation, in push order.
-    adds: Vec<(usize, std::ops::Range<usize>)>,
-    data: Vec<T>,
+    assigns: Vec<(usize, Vec<T>)>,
+    adds: Vec<(usize, Vec<T>)>,
 }
 
 impl<T: Copy + std::ops::AddAssign> WriteList<T> {
     /// Empty write list.
     pub fn new() -> WriteList<T> {
-        WriteList { assigns: Vec::new(), adds: Vec::new(), data: Vec::new() }
-    }
-
-    fn stash(&mut self, values: &[T]) -> std::ops::Range<usize> {
-        let lo = self.data.len();
-        self.data.extend_from_slice(values);
-        lo..self.data.len()
+        WriteList { assigns: Vec::new(), adds: Vec::new() }
     }
 
     /// Overwrite `out[start..start+values.len()]` at commit.
-    pub fn assign(&mut self, start: usize, values: impl AsRef<[T]>) {
-        let r = self.stash(values.as_ref());
-        self.assigns.push((start, r));
+    pub fn assign(&mut self, start: usize, values: Vec<T>) {
+        self.assigns.push((start, values));
     }
 
     /// Accumulate into `out[start..]` at commit.
-    pub fn add(&mut self, start: usize, values: impl AsRef<[T]>) {
-        let r = self.stash(values.as_ref());
-        self.adds.push((start, r));
+    pub fn add(&mut self, start: usize, values: Vec<T>) {
+        self.adds.push((start, values));
     }
 
     /// Number of deferred operations.
@@ -195,19 +183,19 @@ impl<T: Copy + std::ops::AddAssign> WriteList<T> {
 
     /// Apply to the output buffer: assigns first, then accumulations.
     pub fn commit(self, out: &mut [T]) {
-        for (start, r) in self.assigns {
-            out[start..start + r.len()].copy_from_slice(&self.data[r]);
+        for (start, vals) in self.assigns {
+            out[start..start + vals.len()].copy_from_slice(&vals);
         }
-        for (start, r) in self.adds {
-            for (o, &v) in out[start..start + r.len()].iter_mut().zip(&self.data[r]) {
-                *o += v;
+        for (start, vals) in self.adds {
+            for (i, v) in vals.into_iter().enumerate() {
+                out[start + i] += v;
             }
         }
     }
 
     /// The assign ranges, for overlap validation.
     pub fn assign_ranges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.assigns.iter().map(|(s, r)| (*s, *s + r.len()))
+        self.assigns.iter().map(|(s, v)| (*s, *s + v.len()))
     }
 }
 
