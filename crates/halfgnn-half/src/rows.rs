@@ -40,7 +40,7 @@ use crate::f16::Half;
 use crate::intrinsics::{hadd, hmul};
 
 /// True when this process runs the F16C bodies (checked once, cached).
-pub fn hardware() -> bool {
+fn hardware() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static HW: std::sync::OnceLock<bool> = std::sync::OnceLock::new();

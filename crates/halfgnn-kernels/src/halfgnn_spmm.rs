@@ -407,8 +407,6 @@ pub fn spmm_window(
         },
     );
 
-    // Commit in CTA order: each CTA's direct rows, then its atomic adds;
-    // gather the staging records.
     // The §5.2.3 protocol guarantee: every direct/CTA-resolved write owns
     // its row exclusively. Validated in debug builds; a row written twice
     // here is a kernel bug that a real GPU would express as a lost update.
@@ -421,6 +419,8 @@ pub fn spmm_window(
         },
         "conflicting direct writes"
     );
+    // Commit in CTA order — each CTA's direct rows, then its atomic adds —
+    // and gather the staging records.
     let mut y = vec![Half::ZERO; num_rows * f];
     let mut staged_all = Partials::with_capacity(f, 0);
     for c in &cta_outs {
