@@ -237,8 +237,9 @@ pub fn spmm_window(
         if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" },
         LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
         |cta| {
-            // The CTA's edges cover at most this many rows: it bounds every
-            // per-CTA buffer, so none of them reallocates.
+            // The CTA's edges cover at most `max_rows` rows, and each warp
+            // leaves at most two partial rows: the direct and boundary
+            // buffers never reallocate.
             let (cta_s, _) = tiling.warp_range_in(cta.id + cta_lo, 0, e0, e1);
             let cta_e = tiling.warp_range_in(cta.id + cta_lo, tiling.warps_per_cta - 1, e0, e1).1;
             let max_rows =
